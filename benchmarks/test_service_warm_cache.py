@@ -1,18 +1,20 @@
 """Service warm-cache benchmark: the PR 2 acceptance criterion.
 
 Runs the AlexNet x 6-dataflow batch grid through ``repro batch``'s
-machinery twice against one persisted cache file -- two separate
-:func:`persistent_cache` sessions, i.e. two simulated process restarts
--- and checks that the second run is answered almost entirely from the
-disk tier: >= 90% cache hit rate and measurably lower wall time, while
-the cache never grows past its configured ``max_entries`` bound.
+machinery twice against one experiment store -- each run opens the
+store afresh under a new :class:`~repro.store.tier.StoreTierCache`,
+i.e. two simulated process restarts -- and checks that the second run
+is answered almost entirely from the disk tier: >= 90% cache hit rate
+and measurably lower wall time, while the LRU never grows past its
+configured ``max_entries`` bound.
 """
 
 import time
 
 from repro.analysis.report import format_table
 from repro.engine import EngineConfig, EvaluationEngine
-from repro.service import BatchDispatcher, BatchRequest, persistent_cache
+from repro.service import BatchDispatcher, BatchRequest
+from repro.store import ExperimentStore, StoreTierCache
 
 #: The acceptance grid: all of AlexNet under all six dataflows.
 GRID_SPEC = {
@@ -28,8 +30,9 @@ GRID_SPEC = {
 MAX_ENTRIES = 64
 
 
-def _run_once(cache_path, request):
-    with persistent_cache(cache_path, max_entries=MAX_ENTRIES) as cache:
+def _run_once(store_path, request):
+    with ExperimentStore(store_path) as store:
+        cache = StoreTierCache(store, max_entries=MAX_ENTRIES)
         engine = EvaluationEngine(EngineConfig(parallel=False), cache)
         start = time.perf_counter()
         result = BatchDispatcher(engine).run(request)
@@ -39,18 +42,18 @@ def _run_once(cache_path, request):
 
 
 def test_service_warm_cache(tmp_path, emit):
-    cache_path = tmp_path / "service-cache.pkl"
+    store_path = tmp_path / "service-store.db"
     request = BatchRequest.from_dict(GRID_SPEC)
 
-    cold, cold_s, cold_size = _run_once(cache_path, request)
-    warm, warm_s, warm_size = _run_once(cache_path, request)
+    cold, cold_s, cold_size = _run_once(store_path, request)
+    warm, warm_s, warm_size = _run_once(store_path, request)
 
     emit("service_warm_cache", format_table(
         ["run", "wall s", "hit rate", "cache size", "evictions"],
-        [["cold (empty file)", f"{cold_s:.2f}",
+        [["cold (empty store)", f"{cold_s:.2f}",
           f"{cold.cache.hit_rate:.0%}", str(cold_size),
           str(cold.cache.evictions)],
-         ["warm (restart + reload)", f"{warm_s:.3f}",
+         ["warm (restart, store hits)", f"{warm_s:.3f}",
           f"{warm.cache.hit_rate:.0%}", str(warm_size),
           str(warm.cache.evictions)]],
         title=f"repro batch {GRID_SPEC['id']}: "
@@ -71,7 +74,8 @@ def test_service_cache_stays_bounded_under_sweep(tmp_path, emit):
     """A sustained multi-grid sweep against a tiny bound must evict
     instead of growing without limit (the PR 1 leak, fixed)."""
     bound = 8
-    with persistent_cache(tmp_path / "tiny.pkl", max_entries=bound) as cache:
+    with ExperimentStore(tmp_path / "tiny.db") as store:
+        cache = StoreTierCache(store, max_entries=bound)
         engine = EvaluationEngine(EngineConfig(parallel=False), cache)
         dispatcher = BatchDispatcher(engine)
         for pes in (64, 128, 256):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -76,16 +75,10 @@ from repro.registry import (
 #: Workload label used for scenarios built from explicit layer lists.
 CUSTOM_WORKLOAD = "custom"
 
-#: Sentinel for ``Session(cache_file=ENV_CACHE)``: resolve the persistent
-#: tier from the ``REPRO_CACHE`` environment variable (the ``repro
-#: batch``/``repro serve`` behavior).  The default ``cache_file=None``
-#: means *no* disk tier -- a library session never touches a file the
-#: caller didn't name.
-ENV_CACHE = object()
-
 #: Sentinel for ``Session(store=ENV_STORE)``: resolve the experiment
 #: store path from the ``REPRO_STORE`` environment variable (no store
-#: when unset), mirroring :data:`ENV_CACHE` for the SQLite tier.
+#: when unset).  The default ``store=None`` means *no* disk tier -- a
+#: library session never touches a file the caller didn't name.
 ENV_STORE = object()
 
 
@@ -499,14 +492,8 @@ class Session:
         ``workers=N`` implies ``parallel=True``.
     ``cache`` / ``max_cache_entries``
         The in-memory bounded LRU tier (``REPRO_CACHE_MAX_ENTRIES``).
-    ``cache_file``
-        The persistent disk tier: loaded (and validated) on
-        construction, flushed atomically on :meth:`close`.  ``None``
-        (the default) means no disk tier; pass :data:`ENV_CACHE` to
-        resolve the path from the ``REPRO_CACHE`` environment variable,
-        as ``repro batch``/``repro serve`` do.
     ``store`` / ``record``
-        The SQLite experiment store.  ``store`` names an
+        The SQLite experiment store, the only disk tier.  ``store`` names an
         :class:`~repro.store.db.ExperimentStore` (or a path to one, or
         :data:`ENV_STORE` for the ``REPRO_STORE`` environment
         variable); the engine cache then becomes a
@@ -519,7 +506,7 @@ class Session:
     ``engine``
         Wrap an existing engine instead of building one (the default
         session does this); the session then neither owns its pool nor
-        its persistence.
+        its store.
     ``faults``
         Arm a :class:`repro.faults.FaultPlan` (or a ``REPRO_FAULTS``
         spec string) for the session's lifetime -- the programmatic
@@ -529,7 +516,7 @@ class Session:
         counters.
 
     Sessions are context managers; ``close()`` finishes the recorded
-    run, flushes the persistence tiers and shuts the pool down.
+    run, closes the store it opened and shuts the pool down.
     """
 
     def __init__(self, *,
@@ -538,7 +525,6 @@ class Session:
                  workers: Optional[int] = None,
                  cache: Optional[EvaluationCache] = None,
                  max_cache_entries: Optional[int] = None,
-                 cache_file: Optional[Union[str, Path]] = None,
                  store=None,
                  record: Union[bool, str] = False,
                  engine_config: Optional[EngineConfig] = None,
@@ -556,13 +542,12 @@ class Session:
         if engine is not None:
             if any(option is not None for option in
                    (parallel, executor, workers, cache, max_cache_entries,
-                    cache_file, engine_config, store)) or record:
+                    engine_config, store)) or record:
                 raise ValueError(
                     "pass either an existing engine or construction "
                     "options, not both")
             self._engine = engine
             self._owns_engine = False
-            self._cache_file: Optional[Path] = None
         else:
             config = engine_config or EngineConfig.from_env()
             if workers is not None:
@@ -592,10 +577,6 @@ class Session:
                     "not both (the cache carries its own bound)")
             self._engine = EvaluationEngine(config, cache)
             self._owns_engine = True
-            self._cache_file = self._resolve_cache_file(cache_file)
-            if self._cache_file is not None:
-                from repro.service.persistence import load_into
-                load_into(self._engine.cache, self._cache_file)
         if self._recording:
             import threading
             self._run_lock = threading.Lock()
@@ -607,15 +588,6 @@ class Session:
             self._fault_previous = _faults.arm(plan)
             self._faults_armed = True
         self._closed = False
-
-    @staticmethod
-    def _resolve_cache_file(cache_file) -> Optional[Path]:
-        if cache_file is None:
-            return None
-        if cache_file is ENV_CACHE:
-            from repro.service.persistence import default_cache_path
-            return default_cache_path()
-        return Path(cache_file)
 
     @staticmethod
     def _resolve_store(store):
@@ -863,13 +835,10 @@ class Session:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Finish the run, flush persistence and shut the pool down."""
+        """Finish the run, close the store and shut the pool down."""
         if self._closed:
             return
         self._closed = True
-        if self._cache_file is not None:
-            from repro.service.persistence import flush
-            flush(self._engine.cache, self._cache_file)
         if self._run_id is not None:
             self._store.finish_run(self._run_id)
         if self._owns_engine:

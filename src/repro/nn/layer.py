@@ -112,9 +112,9 @@ class LayerShape:
 
     def __getattr__(self, name: str) -> int:
         # Compatibility shim for instances that predate the groups /
-        # dilation fields (e.g. unpickled from an old persistent-cache
-        # snapshot or store blob): they lack the attributes entirely, so
-        # fall back to the paper's implicit defaults.
+        # dilation fields (e.g. unpickled from an old experiment-store
+        # blob): they lack the attributes entirely, so fall back to the
+        # paper's implicit defaults.
         if name in ("groups", "dilation"):
             return 1
         raise AttributeError(

@@ -4,9 +4,8 @@
 underneath the engine's in-memory LRU: lookups fall through LRU -> store
 -> miss, and every computed evaluation is written through to the store,
 so a *second* recorded run of the same sweep rescores nothing even in a
-fresh process.  This replaces the old flat-pickle disk tier with a
-queryable one -- the same rows that answer warm lookups are the rows
-``repro query`` reads.
+fresh process.  It is the only disk tier, and a queryable one -- the
+same rows that answer warm lookups are the rows ``repro query`` reads.
 
 The engine is oblivious: it calls ``cache.get``/``cache.put`` exactly
 as before, which is the point of the refactor -- the persistence path

@@ -4,8 +4,7 @@ Unit coverage of :mod:`repro.faults` (plan grammar, deterministic and
 seeded-probabilistic firing, counters, backoff policy), then the
 recovery contract of each hardened layer: the engine's pool-rebuild /
 re-dispatch path under an injected ``BrokenProcessPool`` (bit-identical
-results), the vector -> scalar kernel degradation, crash-safe cache
-snapshot flushes and corrupt-snapshot quarantine, store write retries,
+results), the vector -> scalar kernel degradation, store write retries,
 a clean ``repro serve`` pipe-loop exit on Ctrl-C / closed stdin, and
 ``Session`` teardown mid-stream (no leaked executor threads, the
 recorded run still finalized).
@@ -21,11 +20,9 @@ import pytest
 
 from repro import faults
 from repro.api import Scenario, Session
-from repro.engine import EngineConfig, EvaluationCache
-from repro.engine.cache import read_snapshot, write_snapshot
+from repro.engine import EngineConfig
 from repro.faults import FaultPlan, FaultRule, FaultStats, InjectedFault
 from repro.nn.layer import conv_layer
-from repro.service import persistence
 from repro.store.db import ExperimentStore
 
 LAYERS = (conv_layer("F1", H=10, R=3, E=8, C=4, M=8, N=1),)
@@ -163,12 +160,12 @@ class TestModuleSurface:
         assert faults.active() is outer
 
     def test_maybe_raise_default_and_custom_type(self):
-        with faults.injected("cache.flush_io_error=2"):
+        with faults.injected("store.write_io_error=2"):
             with pytest.raises(InjectedFault) as err:
-                faults.maybe_raise("cache.flush_io_error")
-            assert err.value.point == "cache.flush_io_error"
+                faults.maybe_raise("store.write_io_error")
+            assert err.value.point == "store.write_io_error"
             with pytest.raises(OSError, match="injected fault"):
-                faults.maybe_raise("cache.flush_io_error", OSError)
+                faults.maybe_raise("store.write_io_error", OSError)
 
     def test_fire_counts_into_stats(self):
         with faults.injected("pool.chunk_slow=3"):
@@ -285,55 +282,6 @@ class TestKernelDegradation:
         assert stats.injected.get("kernel.vector_error") == 1
         assert stats.kernel_degradations == 1
         assert degraded == baseline  # scalar path is parity-held
-
-
-class TestCrashSafeSnapshots:
-    def entries(self):
-        cache = EvaluationCache()
-        with Session(cache=cache, parallel=False) as session:
-            session.evaluate(Scenario(**GRID))
-            return cache.snapshot()
-
-    def test_failed_write_leaves_previous_snapshot(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        entries = self.entries()
-        write_snapshot(path, entries)
-        before = path.read_bytes()
-        with faults.injected("cache.flush_io_error=1"):
-            with pytest.raises(OSError):
-                write_snapshot(path, {})
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]  # no leftover temp
-
-    def test_flush_retries_then_succeeds(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        cache = EvaluationCache()
-        with Session(cache=cache, parallel=False) as session:
-            session.evaluate(Scenario(**GRID))
-        with faults.injected("cache.flush_io_error=1"):
-            persistence.flush(cache, path)
-        assert faults.stats().flush_errors == 1
-        assert read_snapshot(path) == cache.snapshot()
-
-    def test_flush_swallows_persistent_failure(self, tmp_path, caplog):
-        path = tmp_path / "cache.pkl"
-        entries = self.entries()
-        write_snapshot(path, entries)
-        with faults.injected(
-                f"cache.flush_io_error={persistence.FLUSH_ATTEMPTS}"):
-            persistence.flush(EvaluationCache(), path)  # must not raise
-        assert faults.stats().flush_errors == persistence.FLUSH_ATTEMPTS
-        assert read_snapshot(path) == entries  # previous snapshot intact
-
-    def test_corrupt_snapshot_quarantined_and_run_continues(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        path.write_bytes(b"not a pickle at all")
-        cache = EvaluationCache()
-        assert persistence.load_into(cache, path) == 0
-        assert not path.exists()
-        quarantined = list(tmp_path.glob("cache.pkl.corrupt-*"))
-        assert len(quarantined) == 1
-        assert quarantined[0].read_bytes() == b"not a pickle at all"
 
 
 class TestStoreWriteRetry:
