@@ -54,7 +54,9 @@ class NoLocalReuse(Dataflow):
         Mirrors :meth:`enumerate_dense`: ``(m_g, c_g)`` pairs in the
         same thinned-divisor order, the buffer-staging budget applied as
         a batch mask, and the broadcast-degeneration rescale of
-        :meth:`_build_mapping` as a vectorized select.
+        :meth:`_build_mapping` as a vectorized select.  NLR has no RF,
+        so its rows need no RF words; each row reports its staged
+        buffer words.
         """
         n, m, c = layer.N, layer.M, layer.C
         r, e, h = layer.R, layer.E, layer.H
@@ -91,6 +93,8 @@ class NoLocalReuse(Dataflow):
                   cg.astype(np.float64), ones),
             active_pes=mg * cg,
             params={"m_g": mg, "c_g": cg},
+            requirements=lambda: (np.zeros(count, dtype=np.int64),
+                                  used[keep]),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -166,7 +166,9 @@ class _OutputStationaryBase(Dataflow):
         cheap -- at most a few dozen configs), and the three
         buffer-residency scenarios of every config are scored as
         interleaved column triples with the same feasibility predicates
-        as :meth:`_config_candidates`.
+        as :meth:`_config_candidates`.  The OS models keep only psum
+        accumulators in the RF and never test its size, so rows need no
+        RF words; each row reports its scenario's buffer words.
         """
         cfgs = list(self._configurations(layer, hw))
         if not cfgs:
@@ -195,25 +197,24 @@ class _OutputStationaryBase(Dataflow):
         cap = hw.buffer_words
         count = active.shape[0]
         ones = np.ones(count, dtype=np.float64)
-        # Scenario columns in _config_candidates order:
-        # (mask, if_a, if_b, w_a, w_b).
+        # Scenario columns in _config_candidates order: (buffer words,
+        # capacity-free mask, if_a, if_b, w_a, w_b).
         scenarios = (
-            (cfg_ok & (window + m * c * r * r <= cap),
+            (window + m * c * r * r, cfg_ok,
              overlap, if_residual, ones, w_residual),
-            (cfg_ok & (window + m_if * c * r * r <= cap) & (rest >= _EPS),
+            (window + m_if * c * r * r, cfg_ok & (rest >= _EPS),
              overlap * chunk_reuse, rest, ones, w_residual),
-            (cfg_ok & (window + m_if * r * r <= cap)
-             & (rounds >= 1.0 - _EPS),
+            (window + m_if * r * r, cfg_ok & (rounds >= 1.0 - _EPS),
              overlap, if_residual, rounds, w_residual / rounds),
         )
 
-        rows = ScenarioExpansion([s[0] for s in scenarios])
+        rows = ScenarioExpansion([s[1] & (s[0] <= cap) for s in scenarios])
         if not rows:
             return empty_candidates()
-        if_a = rows.select([s[1] for s in scenarios])
-        if_b = rows.select([s[2] for s in scenarios])
-        w_a = rows.select([s[3] for s in scenarios])
-        w_b = rows.select([s[4] for s in scenarios])
+        if_a = rows.select([s[2] for s in scenarios])
+        if_b = rows.select([s[3] for s in scenarios])
+        w_a = rows.select([s[4] for s in scenarios])
+        w_b = rows.select([s[5] for s in scenarios])
 
         accum = np.full(count, float(layer.psum_accumulations))
         params = {key: rows.repeat(col) for key, col in pcols.items()}
@@ -225,6 +226,9 @@ class _OutputStationaryBase(Dataflow):
                   rows.repeat(accum)),
             active_pes=rows.repeat(active),
             params=params,
+            requirements=lambda: (
+                np.zeros(if_a.shape[0], dtype=np.int64),
+                rows.select([s[0] for s in scenarios])),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

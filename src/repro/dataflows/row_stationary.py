@@ -62,6 +62,13 @@ _SCENARIOS = ("both-resident", "ifmap-streams", "filter-streams",
               "both-stream")
 
 
+def _fold_rf_words(r: int, v_fold: int, nr: np.ndarray, mr: np.ndarray,
+                   cr: np.ndarray) -> np.ndarray:
+    """Each fold's scratchpad working set in words per PE (the quantity
+    tested against the RF size)."""
+    return v_fold * ((mr * cr * r) + (nr * cr * r)) + mr * nr
+
+
 @lru_cache(maxsize=None)
 def _rf_fold_arrays(r: int, rf_words: int, v_fold: int, n_left: int,
                     m_left: int, c_left: int
@@ -84,8 +91,7 @@ def _rf_fold_arrays(r: int, rf_words: int, v_fold: int, n_left: int,
     nr = np.repeat(np.array(nr_list, dtype=np.int64), b * c)
     mr = np.tile(np.repeat(np.array(mr_list, dtype=np.int64), c), a)
     cr = np.tile(np.array(cr_list, dtype=np.int64), a * b)
-    words = v_fold * ((mr * cr * r) + (nr * cr * r)) + mr * nr
-    keep = words <= rf_words
+    keep = _fold_rf_words(r, v_fold, nr, mr, cr) <= rf_words
     if not keep.any():
         return None
     return nr[keep], mr[keep], cr[keep]
@@ -158,7 +164,9 @@ class RowStationary(Dataflow):
         fold batch in NumPy.  Rows are ordered fold-major with the
         scenario innermost, exactly the scalar yield order, and
         infeasible rows (RF overflow, PE overflow, vanished residual
-        reuse, budget misses) are dropped by the same predicates.
+        reuse, budget misses) are dropped by the same predicates.  Each
+        row also reports its fold's RF words and its scenario's buffer
+        words, the two quantities those predicates test.
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
 
@@ -230,21 +238,22 @@ class RowStationary(Dataflow):
 
         count = active.shape[0]
         ones = np.ones(count, dtype=np.float64)
-        # Scenario columns in _build_mappings order: (mask, if_a, if_b,
-        # filt_a, filt_b) -- the (c, d) factors and the psum split are
-        # shared by all four scenarios of a fold.
+        # Scenario columns in _build_mappings order: (buffer words,
+        # if_a, if_b, filt_a, filt_b) -- the (c, d) factors and the psum
+        # split are shared by all four scenarios of a fold.
         scenarios = (
-            (fold_ok & (ifmap_tile + filter_all + psum_tile <= cap),
+            (ifmap_tile + filter_all + psum_tile,
              ones, if_residual, ones, filt_pass),
-            (fold_ok & (ifmap_pass + filter_chunk + psum_tile <= cap),
+            (ifmap_pass + filter_chunk + psum_tile,
              if_chunk, if_rest, ones, filt_pass),
-            (fold_ok & (ifmap_tile + filter_pass + psum_tile <= cap),
+            (ifmap_tile + filter_pass + psum_tile,
              ones, if_residual, filt_pass, ones),
-            (fold_ok & (ifmap_pass + filter_pass + psum_tile <= cap),
+            (ifmap_pass + filter_pass + psum_tile,
              if_chunk, if_rest, filt_pass, ones),
         )
 
-        rows = ScenarioExpansion([s[0] for s in scenarios])
+        rows = ScenarioExpansion([fold_ok & (s[0] <= cap)
+                                  for s in scenarios])
         if_a = rows.select([s[1] for s in scenarios])
         if_b = rows.select([s[2] for s in scenarios])
         w_a = rows.select([s[3] for s in scenarios])
@@ -263,6 +272,9 @@ class RowStationary(Dataflow):
                 "c_r": rows.repeat(cr),
                 "scenario": rows.scenario_index(),
             },
+            requirements=lambda: (
+                rows.repeat(_fold_rf_words(r, v_fold, nr, mr, cr)),
+                rows.select([s[0] for s in scenarios])),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -78,7 +78,9 @@ class WeightStationary(Dataflow):
         collected in the same thinned-divisor order and every formula of
         :meth:`_build_mapping` -- the live-psum budget, the broadcast
         rescales, the splits -- is evaluated over the whole batch at
-        once, with infeasible rows dropped by the same predicate.
+        once, with infeasible rows dropped by the same predicate.  WS
+        pins one weight per PE whatever the RF size, so its rows need
+        no RF words; each row reports its live-psum buffer words.
         """
         r2 = layer.R ** 2
         blocks = hw.num_pes // r2
@@ -123,6 +125,8 @@ class WeightStationary(Dataflow):
             psum=(ones, c / cf, (r2 * cf).astype(np.float64), ones),
             active_pes=mf * cf * r2,
             params={"m_f": mf, "c_f": cf},
+            requirements=lambda: (np.zeros(count, dtype=np.int64),
+                                  used[keep]),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,

@@ -32,19 +32,25 @@ question:
   :meth:`DesignSpace.iter_candidates` are generators, with
   :meth:`DesignSpace.points` / :meth:`DesignSpace.candidates` kept as
   small ``tuple(...)`` convenience wrappers -- and sized without
-  expansion through :meth:`DesignSpace.count`.  ``sample=N`` restricts
-  an exploration to a seeded budget of candidates, drawn either
-  uniformly at random or from a low-discrepancy (Halton / van der
-  Corput) sequence.
+  expansion through :meth:`DesignSpace.count`, which reads a
+  valid-point table holding one entry per (geometry, rf) pair.
+  ``sample=N`` restricts an exploration to a seeded budget of
+  candidates, drawn either uniformly at random or from a
+  low-discrepancy (Halton / van der Corput) sequence; each selected
+  expansion index is decoded straight into its (dataflow, point), so a
+  sampled stream costs O(sample), not O(space).
 
 * :func:`explore` / :func:`explore_stream` -- evaluate the candidates
   through the shared evaluation engine's completion-order streaming
   path, in chunks of ``NetworkJob`` cells, so every repeated (dataflow,
   layer, hardware, objective) sub-problem hits the engine's cache
-  tiers: a warm re-exploration computes nothing.  Recording sessions
-  persist each candidate into the experiment store *as it completes*
-  and checkpoint progress under the space's fingerprint, so an
-  interrupted exploration resumes from the store (``resume=True``)
+  tiers: a warm re-exploration computes nothing.  Sampled candidates
+  arrive in expansion order, i.e. in runs that differ only in RF and
+  buffer size; the serial engine searches each run's layers with one
+  capacity-masked kernel call (see :mod:`repro.kernels`).  Recording
+  sessions persist each candidate into the experiment store *as it
+  completes* and checkpoint progress under the space's fingerprint, so
+  an interrupted exploration resumes from the store (``resume=True``)
   instead of restarting.
 
 * :class:`ParetoFrontier` -- the mutable online reduction: one
@@ -88,6 +94,7 @@ import json
 import random as _random
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -261,6 +268,39 @@ def _van_der_corput(index: int, base: int = 2) -> float:
     return result
 
 
+class _PointTable:
+    """The valid points of a design space, one entry per (geometry, rf).
+
+    ``rows`` holds ``(array_h, array_w, rf_bytes, buffer_sizes)`` in
+    expansion order (geometry outer, rf inner), keeping only pairs with
+    at least one surviving buffer size; ``starts`` is the running point
+    count, so point ``k`` of the expansion is decoded with one bisect.
+    Memory is O(geometries x rf_choices), independent of the number of
+    buffer sizes and of the sample.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+        self.starts = [0]
+        for row in rows:
+            self.starts.append(self.starts[-1] + len(row[3]))
+        self.total = self.starts[-1]
+
+    def point(self, offset: int) -> DesignPoint:
+        """Point ``offset`` (0-based) of the valid-point expansion."""
+        row = bisect.bisect_right(self.starts, offset) - 1
+        h, w, rf, glbs = self.rows[row]
+        return DesignPoint(array_h=h, array_w=w, rf_bytes_per_pe=rf,
+                           buffer_bytes=glbs[offset - self.starts[row]])
+
+    def points(self) -> Iterator[DesignPoint]:
+        """Every valid point, in expansion order."""
+        for h, w, rf, glbs in self.rows:
+            for glb in glbs:
+                yield DesignPoint(array_h=h, array_w=w, rf_bytes_per_pe=rf,
+                                  buffer_bytes=glb)
+
+
 # ----------------------------------------------------------------------
 # DesignSpace: the typed sweep description.
 # ----------------------------------------------------------------------
@@ -432,16 +472,17 @@ class DesignSpace:
             return self.area_budget
         return baseline_storage_area(num_pes)
 
-    def _expand_points(self) -> Iterator[DesignPoint]:
-        """The raw lazy expansion of the hardware axes (may be empty).
+    @cached_property
+    def _table(self) -> "_PointTable":
+        """The valid-point table, built once per space (see _PointTable).
 
         Equal-area mode derives each point's buffer from the budget and
         prunes (geometry, rf) pairs whose RF area alone exceeds it;
-        free mode filters enumerated points against ``area_budget``
-        when one is set.  The empty-space check lives in callers
-        (:meth:`iter_points`), so sizing helpers like :meth:`count` can
-        consume this without triggering the error.
+        free mode keeps the buffer sizes whose point fits
+        ``area_budget`` when one is set.  No :class:`DesignPoint` is
+        built here.
         """
+        rows = []
         for h, w in self.geometries():
             num_pes = h * w
             for rf in self.rf_choices:
@@ -451,36 +492,31 @@ class DesignSpace:
                             num_pes, rf, self._budget(num_pes))
                     except ValueError:
                         continue  # RF alone exceeds the area budget
-                    yield DesignPoint(
-                        array_h=h, array_w=w, rf_bytes_per_pe=rf,
-                        buffer_bytes=allocation.buffer_words
-                        * BYTES_PER_WORD)
+                    rows.append((h, w, rf, (allocation.buffer_words
+                                            * BYTES_PER_WORD,)))
                     continue
-                glb_options = (self.glb_choices
-                               if self.glb_choices is not None
-                               else (num_pes * BASELINE_GLB_BYTES_PER_PE,))
-                for glb in glb_options:
-                    point = DesignPoint(array_h=h, array_w=w,
-                                        rf_bytes_per_pe=rf,
-                                        buffer_bytes=glb)
-                    if (self.area_budget is not None
-                            and point.area > self.area_budget):
-                        continue  # outside the fixed-area envelope
-                    yield point
+                glbs = (self.glb_choices if self.glb_choices is not None
+                        else (num_pes * BASELINE_GLB_BYTES_PER_PE,))
+                if self.area_budget is not None:
+                    # The DesignPoint.area expression, term for term.
+                    rf_area = num_pes * storage_area(rf)
+                    glbs = tuple(glb for glb in glbs
+                                 if not rf_area + storage_area(glb)
+                                 > self.area_budget)
+                if glbs:
+                    rows.append((h, w, rf, glbs))
+        return _PointTable(rows)
 
     def iter_points(self) -> Iterator[DesignPoint]:
         """Lazily yield the concrete design points, one at a time.
 
-        Memory stays O(1) in the space size: points are generated on
-        demand, never materialized.  Raises
-        :class:`EmptyDesignSpaceError` -- lazily, at exhaustion --
-        when every combination was pruned.
+        Points are built on demand from the per-(geometry, rf) table,
+        never collected.  Raises :class:`EmptyDesignSpaceError` --
+        lazily, at exhaustion -- when every combination was pruned.
         """
-        empty = True
-        for point in self._expand_points():
-            empty = False
-            yield point
-        if empty:
+        table = self._table
+        yield from table.points()
+        if not table.total:
             raise EmptyDesignSpaceError(_EMPTY_SPACE_MESSAGE)
 
     def points(self) -> Tuple[DesignPoint, ...]:
@@ -495,22 +531,11 @@ class DesignSpace:
     def count(self) -> int:
         """The number of design points, without materializing any.
 
-        Free mode with no ``area_budget`` is closed-form:
-        ``geometries x rf_choices x glb_choices``.  The pruned modes
-        (equal-area, explicit ``area_budget``) must test each
-        (geometry, rf[, glb]) combination, but still in O(1) memory --
-        no :class:`DesignPoint` tuple is ever built.  Returns 0 for a
+        Read off the valid-point table, which holds one entry per
+        (geometry, rf) pair rather than one per point.  Returns 0 for a
         fully pruned space (where :meth:`iter_points` would raise).
         """
-        if not self.equal_area and self.area_budget is None:
-            per_geometry = (len(self.glb_choices)
-                            if self.glb_choices is not None else 1)
-            return len(self.geometries()) * len(self.rf_choices) \
-                * per_geometry
-        total = 0
-        for _ in self._expand_points():
-            total += 1
-        return total
+        return self._table.total
 
     def candidate_count(self) -> int:
         """The number of candidates :meth:`iter_candidates` will yield.
@@ -561,19 +586,25 @@ class DesignSpace:
         the stable candidate identity that checkpoint/resume and the
         frontier's deterministic ordering key on.  With ``sample`` set,
         only the selected indices are yielded (still in expansion
-        order).  Raises :class:`EmptyDesignSpaceError` at exhaustion
-        when nothing survives.
+        order), each decoded straight from its index -- a mixed-radix
+        split into dataflow x point, then a lookup in the valid-point
+        table -- so a sampled stream costs O(sample), not O(space).
+        Raises :class:`EmptyDesignSpaceError` at exhaustion when
+        nothing survives.
         """
+        table = self._table
         selected = self._selected_indices()
-        index = 0
-        yielded = False
-        for dataflow in self.dataflows:
-            for point in self._expand_points():
-                if selected is None or index in selected:
-                    yielded = True
+        if selected is None:
+            index = 0
+            for dataflow in self.dataflows:
+                for point in table.points():
                     yield index, dataflow, point
-                index += 1
-        if not yielded:
+                    index += 1
+        else:
+            for index in sorted(selected):
+                position, offset = divmod(index, table.total)
+                yield index, self.dataflows[position], table.point(offset)
+        if not table.total:
             raise EmptyDesignSpaceError(_EMPTY_SPACE_MESSAGE)
 
     def iter_candidates(self) -> Iterator[Tuple[str, DesignPoint]]:
@@ -1056,10 +1087,13 @@ def explore_stream(space: DesignSpace, *, session=None,
         if batch:
             yield batch
 
+    dataflows = {name: get_dataflow(name) for name in space.dataflows}
     for batch in batches():
-        jobs = [NetworkJob(get_dataflow(dataflow), layers, point.hardware,
+        # A generator: the serial engine path builds each job as it
+        # consumes it, inside its own dispatch.
+        jobs = (NetworkJob(dataflows[dataflow], layers, point.hardware,
                            space.objective)
-                for _index, dataflow, point in batch]
+                for _index, dataflow, point in batch)
         rows: List[DseCandidate] = []
         for job_index, evaluation in session.engine.evaluate_networks_stream(
                 jobs, parallel=parallel):

@@ -23,7 +23,8 @@ aggregate of exactly those per-layer delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig
@@ -31,7 +32,7 @@ from repro.dataflows.base import Dataflow
 from repro.energy.breakdown import EnergyBreakdown, breakdown_mapping
 from repro.energy import edp as edp_model
 from repro.mapping.mapping import Mapping
-from repro.mapping.optimizer import optimize_mapping
+from repro.mapping.optimizer import optimize_mapping, optimize_mapping_batch
 from repro.nn.layer import LayerShape
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
@@ -73,6 +74,15 @@ class LayerEvaluation:
         return self.energy_per_op * self.delay_per_op
 
 
+class _Aggregates(NamedTuple):
+    """What every per-op metric of a feasible network is derived from."""
+
+    macs: int
+    breakdown: EnergyBreakdown
+    mappings: tuple
+    delay_per_op: float
+
+
 @dataclass(frozen=True)
 class NetworkEvaluation:
     """Aggregate accounting across a list of layers (one dataflow)."""
@@ -101,33 +111,45 @@ class NetworkEvaluation:
                 f"{', '.join(missing)} (cannot aggregate)"
             )
 
-    @property
-    def breakdown(self) -> EnergyBreakdown:
-        """Summed energy breakdown across layers."""
+    @cached_property
+    def _aggregates(self) -> _Aggregates:
+        """The inputs the per-op metrics share, derived on first read.
+
+        Cached on the instance (the record is immutable), so reading
+        all six metrics of a row checks feasibility and sums the layers
+        once.  The error an infeasible record raises is never cached.
+        """
         self._require_feasible()
         total = self.evaluations[0].breakdown
         for ev in self.evaluations[1:]:
             total = total + ev.breakdown
-        return total
+        mappings = tuple(ev.mapping for ev in self.evaluations)
+        return _Aggregates(
+            macs=self.total_macs, breakdown=total, mappings=mappings,
+            delay_per_op=edp_model.aggregate_delay_per_op(mappings))
+
+    @property
+    def breakdown(self) -> EnergyBreakdown:
+        """Summed energy breakdown across layers."""
+        return self._aggregates.breakdown
 
     @property
     def energy_per_op(self) -> float:
         """Normalized energy per MAC, aggregated over all layers."""
-        return self.breakdown.total / self.total_macs
+        agg = self._aggregates
+        return agg.breakdown.total / agg.macs
 
     @property
     def dram_reads_per_op(self) -> float:
         """DRAM read words per MAC, aggregated over all layers."""
-        self._require_feasible()
-        reads = sum(ev.mapping.dram_reads for ev in self.evaluations)
-        return reads / self.total_macs
+        agg = self._aggregates
+        return sum(m.dram_reads for m in agg.mappings) / agg.macs
 
     @property
     def dram_writes_per_op(self) -> float:
         """DRAM write words per MAC, aggregated over all layers."""
-        self._require_feasible()
-        writes = sum(ev.mapping.dram_writes for ev in self.evaluations)
-        return writes / self.total_macs
+        agg = self._aggregates
+        return sum(m.dram_writes for m in agg.mappings) / agg.macs
 
     @property
     def dram_accesses_per_op(self) -> float:
@@ -137,9 +159,7 @@ class NetworkEvaluation:
     @property
     def delay_per_op(self) -> float:
         """MAC-weighted delay per op (see :mod:`repro.energy.edp`)."""
-        self._require_feasible()
-        return edp_model.aggregate_delay_per_op(
-            [ev.mapping for ev in self.evaluations])
+        return self._aggregates.delay_per_op
 
     @property
     def edp_per_op(self) -> float:
@@ -167,6 +187,26 @@ def evaluate_layer(dataflow: Dataflow, layer: LayerShape,
         breakdown=breakdown_mapping(result.best, cost_table),
         costs=cost_table,
     )
+
+
+def evaluate_layer_batch(dataflow: Dataflow, layer: LayerShape,
+                         hardware: Sequence[HardwareConfig],
+                         objective: str = "energy"
+                         ) -> Iterator[Optional[LayerEvaluation]]:
+    """:func:`evaluate_layer` for hardware points that differ only in
+    RF and buffer capacity, searched together.
+
+    Yields one record (or None) per point, in order and lazily, each
+    bit-identical to ``evaluate_layer(dataflow, layer, hw, None,
+    objective)``; the search is
+    :func:`~repro.mapping.optimizer.optimize_mapping_batch`.
+    """
+    results = optimize_mapping_batch(dataflow, layer, hardware, objective)
+    for result, hw in zip(results, hardware):
+        yield None if result.best is None else LayerEvaluation(
+            layer=layer, mapping=result.best,
+            breakdown=breakdown_mapping(result.best, hw.costs),
+            costs=hw.costs)
 
 
 def evaluate_network(dataflow: Dataflow, layers: Sequence[LayerShape],

@@ -54,6 +54,7 @@ of its key, so only wall-clock time changes (see
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -63,7 +64,6 @@ import time
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
 )
@@ -87,8 +87,10 @@ from repro.energy.model import (
     LayerEvaluation,
     NetworkEvaluation,
     evaluate_layer,
+    evaluate_layer_batch,
 )
 from repro.engine.cache import MISSING, CacheKey, EvaluationCache
+from repro.mapping.optimizer import capacity_free
 from repro.nn.layer import LayerShape
 
 _FALSY = {"0", "false", "no", "off"}
@@ -230,6 +232,12 @@ class NetworkJob:
         """One :class:`LayerJob` per layer, in network order."""
         return tuple(LayerJob(self.dataflow, layer, self.hardware,
                               self.objective) for layer in self.layers)
+
+
+def _run_key(cell: NetworkJob) -> tuple:
+    """What consecutive cells must share to be evaluated as one run."""
+    return (cell.dataflow, cell.layers, cell.objective,
+            capacity_free(cell.hardware))
 
 
 def _evaluate_layer_task(dataflow: Dataflow, layer: LayerShape,
@@ -397,6 +405,11 @@ class EvaluationEngine:
                         max_workers=self.config.max_workers,
                         thread_name_prefix="repro-engine")
                 else:
+                    # Imported on first use: it pulls in multiprocessing
+                    # (~1.3 MB resident, ~20 ms), which serial runs
+                    # never need.
+                    from concurrent.futures import ProcessPoolExecutor
+
                     dataflows, objectives = _registry_snapshot()
                     self._shared_by_id = {
                         id(df): name for name, df in dataflows.items()}
@@ -483,9 +496,10 @@ class EvaluationEngine:
 
         Yields ``(job_index, NetworkEvaluation)`` pairs -- every job
         exactly once.  ``jobs`` may be any iterable: on the serial path
-        it is consumed lazily, one cell at a time (never materialized,
-        so a generator of cells costs O(1) memory -- the DSE streaming
-        pipeline depends on this), with cells completing in job order.
+        it is consumed lazily, one run of capacity-only-different cells
+        at a time (never materialized, so a generator of cells costs
+        memory proportional to one run -- the DSE streaming pipeline
+        depends on this), with cells completing in job order.
         On the parallel path the jobs are materialized, all unique
         layer tasks fan out across the pool at once and cells are
         yielded in *completion* order (fully cached cells first).  The
@@ -576,23 +590,73 @@ class EvaluationEngine:
                        ) -> Iterator[Tuple[int, NetworkEvaluation]]:
         """The lazy serial path of :meth:`evaluate_networks_stream`.
 
-        Consumes ``jobs`` one cell at a time -- the iterable is never
-        materialized, so a generator of cells (the DSE chunk pipeline)
-        costs O(1) memory here -- and answers every repeated
+        Consumes ``jobs`` lazily -- the iterable is never materialized,
+        so a generator of cells costs memory proportional to one *run*
+        (below), not to the whole grid -- and answers every repeated
         sub-problem through the cache tiers: a layer computed for an
         earlier cell (or any earlier driver of this engine) is a cache
-        hit, not a re-run.
+        hit, not a re-run.  Cells are yielded in job order.
+
+        Consecutive cells that differ only in RF and buffer capacity
+        (same dataflow, layers, objective, array geometry and cost
+        table; a DSE chunk's sampled candidates arrive that way) form a
+        run, evaluated together by :meth:`_evaluate_run`.
         """
-        for index, cell in enumerate(jobs):
+        runs = itertools.groupby(enumerate(jobs),
+                                 key=lambda item: _run_key(item[1]))
+        for _key, run in runs:
+            yield from self._evaluate_run(list(run))
+
+    def _evaluate_run(self, run: List[Tuple[int, NetworkJob]]
+                      ) -> Iterator[Tuple[int, NetworkEvaluation]]:
+        """Evaluate one run of capacity-only-different cells, in order.
+
+        Per layer, the run's cache misses are searched together by
+        :func:`~repro.energy.model.evaluate_layer_batch`, which
+        enumerates and scores the layer's candidates once for all of
+        them (bit-identical to evaluating each alone; a lone miss takes
+        the ordinary per-point search).  Its results are drawn lazily,
+        as the cells needing them are yielded, so the shared search is
+        paid by the run's first cell and each point's own selection by
+        its cell.  A key repeated within the run is
+        answered from the run's own result; keys of one run differ only
+        in hardware, so misses are tracked by hardware (cheaper to hash
+        than the whole key).
+        """
+        first = run[0][1]
+        dataflow, objective = first.dataflow, first.objective
+        layers = []
+        for layer in first.layers:
+            keys = [CacheKey(dataflow=dataflow.name, layer=layer,
+                             hardware=cell.hardware, objective=objective)
+                    for _index, cell in run]
+            misses: Dict[HardwareConfig, int] = {}
+            miss_keys: List[CacheKey] = []
+            column = []
+            for key in keys:
+                if key.hardware in misses:
+                    value = MISSING
+                else:
+                    value = self.cache.get(key)
+                    if value is MISSING:
+                        misses[key.hardware] = len(miss_keys)
+                        miss_keys.append(key)
+                column.append(value)
+            found = evaluate_layer_batch(
+                dataflow, layer, [key.hardware for key in miss_keys],
+                objective)
+            layers.append((keys, column, misses, miss_keys, found, []))
+        for row, (index, cell) in enumerate(run):
             evaluations = []
-            for layer_job in cell.layer_jobs:
-                key = layer_job.key
-                value = self.cache.get(key)
+            for keys, column, misses, miss_keys, found, done in layers:
+                value = column[row]
                 if value is MISSING:
-                    value = _evaluate_layer_task(
-                        layer_job.dataflow, layer_job.layer,
-                        layer_job.hardware, layer_job.objective)
-                    self.cache.put(key, value)
+                    slot = misses[keys[row].hardware]
+                    while len(done) <= slot:
+                        value = next(found)
+                        self.cache.put(miss_keys[len(done)], value)
+                        done.append(value)
+                    value = done[slot]
                 evaluations.append(value)
             yield index, NetworkEvaluation(
                 dataflow=cell.dataflow.name,

@@ -24,6 +24,16 @@ Only the argmin winner is ever materialized as a ``Mapping`` (via the
 dataflow's ``rebuild_mapping``), so everything downstream -- the energy
 breakdown, ``MappingSearchResult``, caches, figures -- is untouched.
 
+Blocks can also report each row's capacity requirement (RF words per
+PE, buffer words; computed on demand by ``requirements``).  Capacity
+enters the candidate space only through ``requirement <= capacity``
+feasibility tests, so one block enumerated at the largest RF and buffer
+of several same-geometry hardware points serves all of them:
+:func:`capacity_mask` recovers each point's rows, and
+:func:`~repro.mapping.optimizer.optimize_mapping_batch` runs one
+enumerate + score per group instead of one per point (the streamed DSE
+path, where a sampled chunk arrives as runs of such points).
+
 Bit-identical parity with the scalar path is the hard contract: the
 expression trees here replicate the scalar association order term for
 term, so the winning mapping *and* its objective score match the scalar
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -106,6 +116,17 @@ class CandidateArrays:
         ``rebuild_mapping`` to re-materialize any row as a full
         :class:`~repro.mapping.mapping.Mapping` through its scalar
         builder.
+    requirements:
+        A callable returning the per-candidate capacity requirement as
+        two int64 columns ``(rf_words, buffer_words)``: the
+        register-file words per PE and the global-buffer words each row
+        needs -- the exact quantities its feasibility predicates
+        compare against ``hw.rf_words_per_pe`` and ``hw.buffer_words``.
+        A row is feasible on any hardware of the same array geometry
+        whose capacities cover both (see :func:`capacity_mask`).
+        Computed on demand because only the capacity-batched search
+        reads them; None when the dataflow does not report them, and
+        that search then handles each hardware point on its own.
     """
 
     ifmap: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -113,6 +134,8 @@ class CandidateArrays:
     psum: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     active_pes: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
+    requirements: Optional[
+        Callable[[], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __len__(self) -> int:
         return int(self.active_pes.shape[0])
@@ -127,7 +150,8 @@ def empty_candidates() -> CandidateArrays:
     z = np.zeros(0, dtype=np.float64)
     zi = np.zeros(0, dtype=np.int64)
     return CandidateArrays(ifmap=(z, z, z, z), filter=(z, z, z, z),
-                           psum=(z, z, z, z), active_pes=zi)
+                           psum=(z, z, z, z), active_pes=zi,
+                           requirements=lambda: (zi, zi))
 
 
 def concat_candidates(blocks) -> CandidateArrays:
@@ -150,6 +174,12 @@ def concat_candidates(blocks) -> CandidateArrays:
     def cat4(tuples):
         return tuple(np.concatenate(cols) for cols in zip(*tuples))
 
+    requirements = None
+    if all(block.requirements is not None for block in blocks):
+        def requirements():
+            pairs = [block.requirements() for block in blocks]
+            return tuple(np.concatenate(columns) for columns in zip(*pairs))
+
     return CandidateArrays(
         ifmap=cat4([block.ifmap for block in blocks]),
         filter=cat4([block.filter for block in blocks]),
@@ -157,6 +187,7 @@ def concat_candidates(blocks) -> CandidateArrays:
         active_pes=np.concatenate([block.active_pes for block in blocks]),
         params={name: np.concatenate([block.params[name] for block in blocks])
                 for name in blocks[0].params},
+        requirements=requirements,
     )
 
 
@@ -170,13 +201,24 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     ``groups`` multiples of the per-group counts) and scales its
     active-PE tie-break/delay column by ``g_p``, recorded in a ``g_p``
     parameter column for winner reconstruction.
+
+    The buffer requirement is restated against the *full* buffer: each
+    partition gets ``buffer_words // g_p`` words, and for an integer
+    requirement ``need <= buffer // g_p`` holds exactly when
+    ``need * g_p <= buffer``.  Per-PE register files are not
+    partitioned, so the RF requirement carries over unchanged.
     """
     params = dict(block.params)
     params["g_p"] = np.full(len(block), g_p, dtype=np.int64)
+    requirements = None
+    if block.requirements is not None:
+        def requirements():
+            rf_words, buffer_words = block.requirements()
+            return rf_words, buffer_words * g_p
     return CandidateArrays(ifmap=block.ifmap, filter=block.filter,
                            psum=block.psum,
                            active_pes=block.active_pes * g_p,
-                           params=params)
+                           params=params, requirements=requirements)
 
 
 def interleave(columns) -> np.ndarray:
@@ -308,3 +350,19 @@ def select_best(scores: np.ndarray, active_pes: np.ndarray,
     threshold = best * (1.0 + tie_tolerance)
     eligible = np.flatnonzero(scores <= threshold)
     return int(eligible[np.argmax(active_pes[eligible])])
+
+
+def capacity_mask(requirements: Tuple[np.ndarray, np.ndarray],
+                  rf_words_per_pe: int, buffer_words: int) -> np.ndarray:
+    """The rows that fit the given RF and buffer capacities.
+
+    Capacity enters every built-in dataflow only through feasibility
+    predicates of the form ``requirement <= capacity`` (the array
+    geometry alone fixes the loop structure and every reuse factor), so
+    the block enumerated at the largest capacities of a group of
+    hardware points holds every smaller point's block as the masked
+    subset, in the same order.  ``requirements`` is the block's
+    ``(rf_words, buffer_words)`` pair (:attr:`CandidateArrays.requirements`).
+    """
+    rf_need, buffer_need = requirements
+    return (rf_need <= rf_words_per_pe) & (buffer_need <= buffer_words)

@@ -24,13 +24,23 @@ The search runs one of two equivalent engines:
 Both return bit-identical results (same winning mapping, same score,
 same candidate count); ``REPRO_KERNEL=scalar`` forces the scalar path
 for debugging.  See docs/PERFORMANCE.md.
+
+:func:`optimize_mapping_batch` searches one layer on several hardware
+points that share an array geometry and differ only in RF and buffer
+capacity -- the shape of a DSE chunk.  Capacity only gates feasibility,
+so it enumerates and scores the candidate block once, at the group's
+largest capacities, and gives each point its masked argmin: one kernel
+call per group instead of one per point, with results bit-identical to
+per-point :func:`optimize_mapping`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro import faults, kernels
 from repro.arch.energy_costs import EnergyCosts
@@ -198,3 +208,117 @@ def _optimize_vectorized(dataflow: "Dataflow", layer: LayerShape,
     return MappingSearchResult(dataflow=dataflow.name, layer=layer.name,
                                best=best, candidates=len(block),
                                objective=objective)
+
+
+def capacity_free(hw: HardwareConfig) -> tuple:
+    """The part of a hardware identity capacity-batched searches share.
+
+    Everything but ``rf_words_per_pe`` and ``buffer_words``: the array
+    geometry and the cost table.  Points with equal keys can be searched
+    together by :func:`optimize_mapping_batch`.
+    """
+    return (hw.num_pes, hw.array_h, hw.array_w, hw.costs)
+
+
+def optimize_mapping_batch(dataflow: "Dataflow", layer: LayerShape,
+                           hardware: Sequence[HardwareConfig],
+                           objective: str = "energy",
+                           tie_tolerance: float = 0.01
+                           ) -> Iterator[MappingSearchResult]:
+    """Search one layer on hardware points that differ only in capacity.
+
+    Yields one :class:`MappingSearchResult` per point, in order, each
+    bit-identical (winner, score, candidate count) to
+    ``optimize_mapping(dataflow, layer, hw, objective=objective,
+    tie_tolerance=tie_tolerance)``.  Every point must share
+    :func:`capacity_free`; each is scored under its own cost table
+    (which, by that rule, is the same for all).
+
+    With two or more points on the vectorized path, the candidate block
+    is enumerated and scored *once*, on the envelope hardware (the
+    largest RF and the largest buffer of the group).  Each point then
+    keeps the rows whose reported RF and buffer requirements fit its
+    own capacities (:func:`repro.kernels.capacity_mask`) -- the same
+    rows, in the same order, its own enumeration would emit -- reduces
+    them with the unchanged ``select_best`` rule, and rebuilds its
+    winner at its own hardware.  Otherwise (one point,
+    ``REPRO_KERNEL=scalar``, a custom objective, a dataflow without an
+    array enumerator or without requirement columns) every point runs
+    :func:`optimize_mapping`.  A failure inside the batched search is
+    the first link of the degradation chain: the points not yet
+    answered fall back to per-point :func:`optimize_mapping`, which
+    keeps its own vector -> scalar fallback.
+
+    Results are produced lazily: the shared enumerate + score runs when
+    the first result is requested, and each point's selection and
+    rebuild when its own result is, so a streaming consumer pays for
+    one point at a time.  Arguments are validated on the call.
+    """
+    hardware = list(hardware)
+    if objective not in OBJECTIVES:
+        known = ", ".join(OBJECTIVES)
+        raise ValueError(f"unknown objective {objective!r}; known: {known}")
+    if len({capacity_free(hw) for hw in hardware}) > 1:
+        raise ValueError(
+            "optimize_mapping_batch needs hardware points that differ "
+            "only in RF and buffer capacity")
+    if len(hardware) > 1 and _vectorizable(dataflow, objective,
+                                           OBJECTIVES[objective]):
+        return _degrading_batch(dataflow, layer, hardware, objective,
+                                tie_tolerance)
+    return (optimize_mapping(dataflow, layer, hw, objective=objective,
+                             tie_tolerance=tie_tolerance)
+            for hw in hardware)
+
+
+def _degrading_batch(dataflow: "Dataflow", layer: LayerShape,
+                     hardware: List[HardwareConfig], objective: str,
+                     tie_tolerance: float
+                     ) -> Iterator[MappingSearchResult]:
+    """The batched search, degrading unanswered points on failure."""
+    done = 0
+    try:
+        for result in _capacity_batch(dataflow, layer, hardware, objective,
+                                      tie_tolerance):
+            yield result
+            done += 1
+    except Exception as exc:
+        faults.record("kernel_degradations")
+        logger.warning(
+            "capacity-batched kernel failed for %s/%s (%s); degrading "
+            "to per-hardware searches", dataflow.name, layer.name, exc)
+    for hw in hardware[done:]:
+        yield optimize_mapping(dataflow, layer, hw, objective=objective,
+                               tie_tolerance=tie_tolerance)
+
+
+def _capacity_batch(dataflow: "Dataflow", layer: LayerShape,
+                    hardware: List[HardwareConfig], objective: str,
+                    tie_tolerance: float
+                    ) -> Iterator[MappingSearchResult]:
+    """One enumerate + score for the group, then one masked argmin per
+    point; yields nothing when the dataflow reports no requirements."""
+    faults.maybe_raise("kernel.vector_error")
+    envelope = replace(
+        hardware[0],
+        rf_words_per_pe=max(hw.rf_words_per_pe for hw in hardware),
+        buffer_words=max(hw.buffer_words for hw in hardware))
+    block = dataflow.enumerate_candidate_arrays(layer, envelope)
+    if block is None or block.requirements is None:
+        return
+    requirements = block.requirements()
+    scores = kernels.score_candidates(block, layer, envelope.costs,
+                                      objective)
+    for hw in hardware:
+        rows = np.flatnonzero(kernels.capacity_mask(
+            requirements, hw.rf_words_per_pe, hw.buffer_words))
+        best = None
+        if rows.shape[0]:
+            winner = kernels.select_best(scores[rows],
+                                         block.active_pes[rows],
+                                         tie_tolerance)
+            best = dataflow.rebuild_mapping(
+                layer, hw, block.row_params(int(rows[winner])))
+        yield MappingSearchResult(
+            dataflow=dataflow.name, layer=layer.name, best=best,
+            candidates=int(rows.shape[0]), objective=objective)

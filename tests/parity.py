@@ -20,6 +20,13 @@ random shapes:
   only grow the candidate set (capacity appears solely in feasibility
   masks), so the best score must be monotone non-increasing in buffer
   words.
+* :func:`check_batch_parity` -- the capacity-batched oracle: one
+  :func:`~repro.mapping.optimizer.optimize_mapping_batch` call over a
+  group of hardware points that share an array geometry must return,
+  per point, exactly what a per-hardware ``optimize_mapping`` returns
+  (winner, score bits, candidate count), on the vector and the scalar
+  path -- the same feasibility-mask invariant, used the other way
+  round.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -32,12 +39,13 @@ import os
 import random
 import struct
 from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig, square_array_geometry
 from repro.kernels import score_candidates, select_best
 from repro.mapping.optimizer import OBJECTIVES as _OBJECTIVE_FNS
-from repro.mapping.optimizer import optimize_mapping
+from repro.mapping.optimizer import optimize_mapping, optimize_mapping_batch
 from repro.nn.layer import LayerShape, conv_layer, fc_layer
 
 COSTS = EnergyCosts.table_iv()
@@ -205,6 +213,26 @@ class ShapeGenerator:
         """One of the built-in objectives, uniformly."""
         return self.rng.choice(OBJECTIVES)
 
+    def hardware_group(self):
+        """2-8 hardware points on one array geometry, capacities varied.
+
+        The first member has a starved register file (RS cannot fold
+        even one primitive into it) and the second a starved buffer (WS
+        psums and every staging set overflow it), so every group mixes
+        feasible and infeasible members; the rest draw RF and buffer
+        sizes from the :meth:`hardware` menus.  Duplicates are allowed.
+        """
+        rng = self.rng
+        base = self.hardware()
+        group = [replace(base, rf_words_per_pe=rng.choice((0, 2, 4))),
+                 replace(base, buffer_words=rng.choice((0, 16, 64)))]
+        for _ in range(rng.randint(0, 6)):
+            group.append(replace(
+                base, rf_words_per_pe=rng.choice((16, 64, 256, 512)),
+                buffer_words=rng.choice((512, 2048, 16384, 54 * 1024))))
+        rng.shuffle(group)
+        return group
+
 
 def _search_both(dataflow, layer, hw, objective: str,
                  tie_tolerance: float):
@@ -307,3 +335,80 @@ def check_buffer_monotonicity(dataflow, layer: LayerShape,
         assert big_score <= small_score, (
             f"{where}: {factor}x buffer worsened the best "
             f"({small_score} -> {big_score})")
+
+
+@contextmanager
+def counted_enumerations(dataflow):
+    """Count ``enumerate_candidate_arrays`` calls on ``dataflow``'s class.
+
+    Yields a one-element list holding the running count; the class
+    attribute is restored on exit.
+    """
+    cls = type(dataflow)
+    had_own = "enumerate_candidate_arrays" in vars(cls)
+    original = cls.enumerate_candidate_arrays
+    calls = [0]
+
+    def counting(self, layer, hw):
+        calls[0] += 1
+        return original(self, layer, hw)
+
+    cls.enumerate_candidate_arrays = counting
+    try:
+        yield calls
+    finally:
+        if had_own:
+            cls.enumerate_candidate_arrays = original
+        else:
+            del cls.enumerate_candidate_arrays
+
+
+def check_batch_parity(dataflow, layer: LayerShape, hardware,
+                       objective: str = "energy",
+                       tie_tolerance: float = 0.01,
+                       context: str = "") -> list:
+    """Assert the capacity-batched search equals per-hardware searches.
+
+    ``hardware`` is a group of points sharing one array geometry.  The
+    reference is a per-point scalar ``optimize_mapping``; the batched
+    search must match it field for field (winner, energy/EDP/DRAM score
+    bits, candidate count) both with the vector kernel -- where it must
+    also have enumerated the candidate block exactly once for the
+    whole group -- and with ``REPRO_KERNEL=scalar``, where it must not
+    have enumerated arrays at all.  Returns the per-point reference
+    results (so callers can check coverage, e.g. infeasible members).
+    """
+    where = f"{context}{dataflow.name}/{layer.name}/{objective}"
+    with forced_kernel("scalar"):
+        reference = [optimize_mapping(dataflow, layer, hw,
+                                      objective=objective,
+                                      tie_tolerance=tie_tolerance)
+                     for hw in hardware]
+    for mode, expected_calls in (("vector", 1), ("scalar", 0)):
+        with forced_kernel(mode), counted_enumerations(dataflow) as calls:
+            batched = list(optimize_mapping_batch(
+                dataflow, layer, hardware, objective=objective,
+                tie_tolerance=tie_tolerance))
+        if len(hardware) > 1:
+            assert calls[0] == expected_calls, (
+                f"{where} [{mode}]: {calls[0]} array enumerations for a "
+                f"{len(hardware)}-point group, expected {expected_calls}")
+        assert len(batched) == len(hardware)
+        for member, (hw, want, got) in enumerate(
+                zip(hardware, reference, batched)):
+            point = (f"{where} [{mode}] member {member} "
+                     f"(rf={hw.rf_words_per_pe}, buffer={hw.buffer_words})")
+            assert got.candidates == want.candidates, (
+                f"{point}: candidate counts diverge ({want.candidates} "
+                f"per-hardware vs {got.candidates} batched)")
+            assert got.best == want.best, f"{point}: winners diverge"
+            if want.best is None:
+                continue
+            for metric in ("energy_per_mac", "edp"):
+                assert bits(getattr(want.best, metric)(hw.costs)) == \
+                    bits(getattr(got.best, metric)(hw.costs)), (
+                        f"{point}: winner {metric} bits diverge")
+            assert bits(want.best.dram_accesses_per_op) == \
+                bits(got.best.dram_accesses_per_op), (
+                    f"{point}: winner DRAM bits diverge")
+    return reference

@@ -14,8 +14,13 @@ import pytest
 
 from repro.api import Session
 from repro.arch.hardware import HardwareConfig
-from repro.arch.storage import BYTES_PER_WORD, allocate_storage
+from repro.arch.storage import (
+    BYTES_PER_WORD,
+    allocate_storage,
+    baseline_storage_area,
+)
 from repro.dse import (
+    BASELINE_GLB_BYTES_PER_PE,
     DEFAULT_METRICS,
     DesignPoint,
     DesignSpace,
@@ -423,6 +428,163 @@ class TestSampling:
         assert tiny_space(sample=10, seed=1).fingerprint() != \
             tiny_space(sample=10, seed=2).fingerprint()
         assert tiny_space().fingerprint() == tiny_space().fingerprint()
+
+
+def reference_points(space: DesignSpace):
+    """The exhaustive expansion the decoded sampler replaced (the oracle).
+
+    Builds every (geometry, rf[, glb]) DesignPoint and filters it:
+    equal-area mode derives the buffer and drops (geometry, rf) pairs
+    whose RF alone exceeds the budget; free mode drops points whose
+    area exceeds ``area_budget``.
+    """
+    for h, w in space.geometries():
+        num_pes = h * w
+        for rf in space.rf_choices:
+            if space.equal_area:
+                budget = (space.area_budget if space.area_budget is not None
+                          else baseline_storage_area(num_pes))
+                try:
+                    allocation = allocate_storage(num_pes, rf, budget)
+                except ValueError:
+                    continue
+                yield DesignPoint(array_h=h, array_w=w, rf_bytes_per_pe=rf,
+                                  buffer_bytes=allocation.buffer_words
+                                  * BYTES_PER_WORD)
+                continue
+            glb_options = (space.glb_choices
+                           if space.glb_choices is not None
+                           else (num_pes * BASELINE_GLB_BYTES_PER_PE,))
+            for glb in glb_options:
+                point = DesignPoint(array_h=h, array_w=w,
+                                    rf_bytes_per_pe=rf, buffer_bytes=glb)
+                if (space.area_budget is not None
+                        and point.area > space.area_budget):
+                    continue
+                yield point
+
+
+def reference_candidates(space: DesignSpace):
+    """The exhaustive filter loop: expand everything, keep the sample."""
+    selected = space._selected_indices()
+    out, index = [], 0
+    for dataflow in space.dataflows:
+        for point in reference_points(space):
+            if selected is None or index in selected:
+                out.append((index, dataflow, point))
+            index += 1
+    if not out:
+        raise EmptyDesignSpaceError("reference expansion is empty")
+    return out
+
+
+#: Geometry axes with duplicates: (4, 4) is pe_counts 16 again and
+#: (8, 8) is 64 again, so both collapse.
+_DUP_GEOMETRIES = dict(pe_counts=(16, 64, 32),
+                       array_shapes=((4, 4), (2, 8), (8, 8), (3, 5)))
+
+
+def _sampler_spaces():
+    """(label, DesignSpace) across modes, samplers and sample sizes."""
+    free = dict(workload=TINY_LAYERS, dataflows=("RS", "WS", "NLR"),
+                batch=1, rf_choices=(0, 64, 512, 2048), **_DUP_GEOMETRIES)
+    glbs = dict(glb_choices=(2048, 64 * 1024, 8 * 1024, 0))
+    full = DesignSpace(**free, **glbs)
+    areas = sorted(point.area for point in reference_points(full))
+    modes = {
+        "free": dict(**glbs),
+        "free-default-glb": dict(),
+        "area-budget": dict(area_budget=areas[len(areas) // 2], **glbs),
+        "equal-area": dict(equal_area=True),
+        "equal-area-budget": dict(equal_area=True,
+                                  area_budget=baseline_storage_area(32)),
+    }
+    for mode, extra in modes.items():
+        base = DesignSpace(**free, **extra)
+        total = base.count() * len(base.dataflows)
+        for sampler in ("random", "halton"):
+            for sample in (None, 1, 7, total // 2, total, total + 5):
+                for seed in (0, 11):
+                    yield (f"{mode}/{sampler}/{sample}/{seed}",
+                           DesignSpace(**free, **extra, sample=sample,
+                                       seed=seed, sampler=sampler))
+
+
+SAMPLER_SPACES = list(_sampler_spaces())
+
+
+class TestDecodedSampler:
+    """The index-decoded stream equals the exhaustive filter loop."""
+
+    @pytest.mark.parametrize("label,space", SAMPLER_SPACES,
+                             ids=[label for label, _ in SAMPLER_SPACES])
+    def test_stream_matches_exhaustive_reference(self, label, space):
+        reference = reference_candidates(space)
+        points = list(reference_points(space))
+        assert space.count() == len(points)
+        assert space.points() == tuple(points)
+        assert list(space.iter_candidates_indexed()) == reference
+        assert space.candidate_count() == len(reference)
+
+    def test_pruned_modes_really_prune(self):
+        """The matrix exercises pruning: some points drop in each mode."""
+        spaces = dict(SAMPLER_SPACES)
+        free = spaces["free/random/None/0"]
+        assert spaces["area-budget/random/None/0"].count() < free.count()
+        equal = spaces["equal-area/random/None/0"]
+        assert equal.count() < len(equal.geometries()) * 4
+
+    @pytest.mark.parametrize("extra", [
+        dict(area_budget=1e-6),
+        dict(area_budget=1e-6, sample=3),
+        dict(area_budget=1e-6, sample=3, sampler="halton"),
+        dict(equal_area=True, glb_choices=None, area_budget=1e-6),
+        dict(equal_area=True, glb_choices=None, area_budget=1e-6, sample=2),
+    ])
+    def test_fully_pruned_space_raises(self, extra):
+        space = tiny_space(**extra)
+        with pytest.raises(EmptyDesignSpaceError):
+            reference_candidates(space)
+        gen = space.iter_candidates_indexed()  # lazy: building is fine
+        with pytest.raises(EmptyDesignSpaceError):
+            next(gen)
+        with pytest.raises(EmptyDesignSpaceError):
+            space.points()
+        assert space.count() == 0 and space.candidate_count() == 0
+
+    @pytest.mark.parametrize("sampler", ["random", "halton"])
+    def test_resume_skips_done_indices(self, sampler):
+        """explore_stream on a resumed space evaluates exactly the
+        not-yet-done reference indices, in expansion order."""
+        space = tiny_space(sample=13, seed=5, sampler=sampler)
+        reference = reference_candidates(space)
+        done = {index for index, _, _ in reference[::3]}
+        with Session(parallel=False) as session:
+            finished = [row for _, row in _rows_by_index(session, space)
+                        if row.index in done]
+
+            class Resuming:
+                engine = session.engine
+
+                def resume_exploration(self, fingerprint):
+                    assert fingerprint == space.fingerprint()
+                    return finished
+
+            events = list(explore_stream(space, session=Resuming(),
+                                         resume=True))
+        evaluated = [row.index for kind, row in events
+                     if kind == "candidate"]
+        assert evaluated == [index for index, _, _ in reference
+                             if index not in done]
+        result = events[-1][1]
+        assert result.num_evaluated == len(reference)
+
+
+def _rows_by_index(session, space):
+    """Every candidate of ``space`` as (index, row), in index order."""
+    rows = [row for kind, row in explore_stream(space, session=session)
+            if kind == "candidate"]
+    return sorted(((row.index, row) for row in rows), key=lambda p: p[0])
 
 
 class TestIncrementalPareto:

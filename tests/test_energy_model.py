@@ -133,6 +133,11 @@ class TestEvaluate:
         assert not ev.feasible
         with pytest.raises(RuntimeError, match="no feasible mapping"):
             _ = ev.energy_per_op
+        # The failed check is not cached: every aggregate raises again.
+        for metric in ("breakdown", "energy_per_op", "delay_per_op",
+                       "dram_reads_per_op", "edp_per_op"):
+            with pytest.raises(RuntimeError, match="no feasible mapping"):
+                getattr(ev, metric)
 
     def test_empty_network_rejected(self):
         hw = HardwareConfig.eyeriss_paper_baseline(256)

@@ -442,3 +442,82 @@ class TestEvaluateMany:
         assert engine.cache.stats.size == 2
         assert (dram.mapping.dram_accesses_per_op
                 <= energy.mapping.dram_accesses_per_op + 1e-12)
+
+
+class TestCapacityRuns:
+    """The serial stream searches capacity-only runs with one kernel call.
+
+    Consecutive cells that differ only in RF and buffer size form a run;
+    each layer's misses across the run are enumerated and scored once
+    (``optimize_mapping_batch``), and the cells must still equal a
+    plain per-cell evaluation bit-for-bit, in job order.
+    """
+
+    @staticmethod
+    def cells():
+        from dataclasses import replace
+
+        layers = tuple(LAYERS[:3])
+        rs_base, ws_base = hw_for("RS"), hw_for("WS")
+        rs_run = [replace(rs_base, rf_words_per_pe=rf, buffer_words=buffer)
+                  for rf in (8, 64, 256) for buffer in (512, 32768)]
+        # A repeated point inside the run, a WS run with a starved
+        # buffer member, then a lone cell on another geometry.
+        hardware = ([("RS", hw) for hw in rs_run] + [("RS", rs_run[1])]
+                    + [("WS", replace(ws_base, buffer_words=buffer))
+                       for buffer in (16, 65536, 131072)]
+                    + [("RS", HardwareConfig.equal_area(
+                        168, DATAFLOWS["RS"].rf_bytes_per_pe))])
+        return [NetworkJob(DATAFLOWS[name], layers, hw)
+                for name, hw in hardware]
+
+    def test_runs_match_per_cell_evaluation(self):
+        jobs = self.cells()
+        expected = [seed_evaluate_network(job.dataflow, job.layers,
+                                          job.hardware) for job in jobs]
+        engine = serial_engine()
+        streamed = list(engine.evaluate_networks_stream(iter(jobs),
+                                                        parallel=False))
+        assert [index for index, _ in streamed] == list(range(len(jobs)))
+        assert [evaluation for _, evaluation in streamed] == expected
+        assert any(not evaluation.feasible for evaluation in expected)
+        # The repeated point is answered from its run, not recomputed.
+        distinct = len({job.hardware for job in jobs}) * 3
+        assert engine.cache.stats.misses == distinct
+        assert engine.cache.stats.size == distinct
+
+    def test_each_run_enumerates_each_layer_once(self, monkeypatch):
+        calls = []
+        original = RowStationary.enumerate_candidate_arrays
+
+        def counting(self, layer, hw):
+            calls.append(hw)
+            return original(self, layer, hw)
+
+        monkeypatch.setattr(RowStationary, "enumerate_candidate_arrays",
+                            counting)
+        jobs = [job for job in self.cells() if job.dataflow.name == "RS"]
+        list(serial_engine().evaluate_networks_stream(jobs,
+                                                      parallel=False))
+        # One capacity-batched search per layer for the run of six
+        # (plus its repeat), one per layer for the lone 168-PE cell.
+        assert len(calls) == 3 + 3
+        assert {hw.rf_words_per_pe for hw in calls[:3]} == {256}
+        assert {hw.buffer_words for hw in calls[:3]} == {32768}
+
+    def test_scalar_kernel_mode_skips_batching(self, monkeypatch):
+        from repro.dataflows.base import Dataflow
+
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        jobs = self.cells()[:7]
+        expected = [seed_evaluate_network(job.dataflow, job.layers,
+                                          job.hardware) for job in jobs]
+
+        def refuse(self, layer, hw):
+            raise AssertionError("array enumerator used in scalar mode")
+
+        monkeypatch.setattr(Dataflow, "enumerate_candidate_arrays", refuse)
+        engine = serial_engine()
+        got = [evaluation for _, evaluation
+               in engine.evaluate_networks_stream(jobs, parallel=False)]
+        assert got == expected

@@ -283,6 +283,34 @@ class TestKernelDegradation:
         assert stats.kernel_degradations == 1
         assert degraded == baseline  # scalar path is parity-held
 
+    def test_vector_error_degrades_a_batched_group(self):
+        """A failed capacity-batched search falls back to per-hardware
+        searches -- which keep their own vector -> scalar fallback."""
+        from dataclasses import replace
+
+        from repro.dataflows.registry import equal_area_hardware
+        from repro.mapping.optimizer import (
+            optimize_mapping,
+            optimize_mapping_batch,
+        )
+        from repro.registry import get_dataflow
+
+        dataflow = get_dataflow("RS")
+        base = equal_area_hardware("RS", 64, None)
+        group = [replace(base, rf_words_per_pe=rf, buffer_words=buffer)
+                 for rf in (64, 256) for buffer in (4096, 16384)]
+        baseline = [optimize_mapping(dataflow, LAYERS[0], hw)
+                    for hw in group]
+        assert list(optimize_mapping_batch(dataflow, LAYERS[0], group)) \
+            == baseline
+        with faults.injected("kernel.vector_error=2"):
+            degraded = list(optimize_mapping_batch(dataflow, LAYERS[0],
+                                                   group))
+        stats = faults.stats()
+        assert stats.injected.get("kernel.vector_error") == 2
+        assert stats.kernel_degradations == 2  # the batch, then one point
+        assert degraded == baseline
+
 
 class TestStoreWriteRetry:
     def test_injected_write_error_is_retried(self, tmp_path):

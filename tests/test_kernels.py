@@ -13,6 +13,7 @@ scalar path; ``REPRO_KERNEL`` overrides are honored).
 import random
 import re
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.arch.hardware import HardwareConfig
 from repro.dataflows.registry import DATAFLOWS
 from repro.engine.reducer import StreamingBest
 from repro.kernels import kernel_mode, select_best
-from repro.mapping.optimizer import optimize_mapping
+from repro.mapping.optimizer import MappingSearchResult, optimize_mapping
 from repro.nn.networks import alexnet, resnet18, vgg16
 from repro.registry import objective_registry
 
@@ -69,16 +70,77 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+@contextmanager
+def _recorded_enumeration(dataflow, sink):
+    """Append every mapping ``dataflow`` enumerates to ``sink``."""
+    cls = type(dataflow)
+    had_own = "enumerate_mappings" in vars(cls)
+    original = cls.enumerate_mappings
+
+    def recording(self, layer, hw):
+        for mapping in original(self, layer, hw):
+            sink.append(mapping)
+            yield mapping
+
+    cls.enumerate_mappings = recording
+    try:
+        yield
+    finally:
+        if had_own:
+            cls.enumerate_mappings = original
+        else:
+            del cls.enumerate_mappings
+
+
+def _scalar_references(monkeypatch, dataflow, layer, hw, objectives,
+                       tie_tolerance=0.01):
+    """Scalar search results under every objective, one enumeration.
+
+    The first objective runs the scalar entry point itself (a direct
+    ``optimize_mapping`` call under ``REPRO_KERNEL=scalar``); the
+    candidates its generator yields are recorded on the way and reduced
+    again under the other objectives with the same StreamingBest rule,
+    so the scalar space is enumerated once per (dataflow, hardware,
+    layer) instead of once per objective.
+    """
+    candidates = []
+    monkeypatch.setenv("REPRO_KERNEL", "scalar")
+    with _recorded_enumeration(dataflow, candidates):
+        direct = optimize_mapping(dataflow, layer, hw,
+                                  objective=objectives[0],
+                                  tie_tolerance=tie_tolerance)
+    results = {objectives[0]: direct}
+    for objective in objectives:
+        score = objective_registry[objective]
+        reducer = StreamingBest(tie_tolerance=tie_tolerance,
+                                tie_key=lambda mapping: mapping.active_pes)
+        for candidate in candidates:
+            reducer.update(score(candidate, hw.costs), candidate)
+        reduced = MappingSearchResult(
+            dataflow=dataflow.name, layer=layer.name,
+            best=reducer.result(), candidates=reducer.count,
+            objective=objective)
+        if objective == objectives[0]:
+            assert reduced == direct  # the re-reduction is the search
+        results[objective] = reduced
+    return results
+
+
 @pytest.mark.parametrize("name", sorted(DATAFLOWS))
 class TestVectorScalarParity:
     def test_same_winner_score_bits_and_counts(self, name, monkeypatch):
         dataflow = DATAFLOWS[name]
         compared = 0
+        objectives = ("energy", "edp", "dram")
         for hw in _hardware_grid(dataflow):
             for layer in LAYERS:
-                for objective in ("energy", "edp", "dram"):
-                    scalar, vector = _search_both(
-                        monkeypatch, dataflow, layer, hw, objective)
+                references = _scalar_references(monkeypatch, dataflow,
+                                                layer, hw, objectives)
+                monkeypatch.setenv("REPRO_KERNEL", "vector")
+                for objective in objectives:
+                    scalar = references[objective]
+                    vector = optimize_mapping(dataflow, layer, hw,
+                                              objective=objective)
                     assert scalar.candidates == vector.candidates, (
                         f"{name}/{layer.name}/{objective}: candidate "
                         f"counts diverge")

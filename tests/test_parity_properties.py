@@ -13,6 +13,15 @@ Coverage math: ``len(SEEDS) * len(DATAFLOWS) * SHAPES_PER_CELL``
 generated (shape, dataflow) cells -- 2 * 6 * 18 = 216 >= 200 with the
 default matrix, every shape drawn fresh per (dataflow, seed) pair.
 
+``TestBatchedParity`` drives :func:`parity.check_batch_parity`, the
+capacity-batched oracle: per (dataflow, seed) cell, every shape class
+(dense, grouped, depthwise and dilated conv, GEMM) under every
+objective is searched on a group of 2-8 hardware points that share an
+array geometry -- each group mixing in a starved-RF and a
+starved-buffer member -- with ``tie_tolerance`` alternating between
+0.0 and 0.01; the batched search must equal per-hardware
+``optimize_mapping`` bit-for-bit on the vector and scalar paths.
+
 The CI ``parity-fuzz`` job adds a non-blocking run with
 ``REPRO_PARITY_SEED=$GITHUB_RUN_ID``: setting that variable appends one
 extra seed to the matrix, so every CI run fuzzes a never-seen region
@@ -28,7 +37,13 @@ import pytest
 
 from repro.dataflows.registry import DATAFLOWS
 
-from parity import ShapeGenerator, check_buffer_monotonicity, check_parity
+from parity import (
+    OBJECTIVES,
+    ShapeGenerator,
+    check_batch_parity,
+    check_buffer_monotonicity,
+    check_parity,
+)
 
 #: Fixed, always-run seed matrix (deterministic CI-blocking coverage).
 _FIXED_SEEDS = (20160618, 20260807)
@@ -80,6 +95,39 @@ class TestBufferMonotonicity:
             check_buffer_monotonicity(dataflow, layer, hw,
                                       objective=gen.objective(),
                                       context=f"seed={seed} ")
+
+
+#: The shape classes the batched oracle covers, one draw each per
+#: objective.
+BATCH_SHAPE_CLASSES = ("dense_conv", "grouped_conv", "depthwise_conv",
+                       "dilated_conv", "gemm")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DATAFLOWS))
+class TestBatchedParity:
+    """Capacity-batched search == per-hardware search, bit for bit."""
+
+    def test_hardware_groups_bit_identical(self, name, seed):
+        dataflow = DATAFLOWS[name]
+        gen = ShapeGenerator(f"batch:{seed}:{name}")
+        groups = infeasible = 0
+        for shape_class in BATCH_SHAPE_CLASSES:
+            for objective in OBJECTIVES:
+                layer = getattr(gen, shape_class)()
+                group = gen.hardware_group()
+                assert 2 <= len(group) <= 8
+                assert len({(hw.num_pes, hw.array_h, hw.array_w)
+                            for hw in group}) == 1
+                tolerance = (0.0, 0.01)[groups % 2]
+                reference = check_batch_parity(
+                    dataflow, layer, group, objective=objective,
+                    tie_tolerance=tolerance, context=f"seed={seed} ")
+                infeasible += sum(not r.feasible for r in reference)
+                groups += 1
+        assert groups == len(BATCH_SHAPE_CLASSES) * len(OBJECTIVES)
+        # Every group carries starved members: some must be infeasible.
+        assert infeasible > 0
 
 
 class TestCoverageFloor:

@@ -22,7 +22,15 @@ end to end:
    diff machinery) must exit 0: recovered cells are indistinguishable
    from never-faulted ones.
 
-3. **Server chaos.**  Against a live TCP server: a connection eaten by
+3. **Batched-kernel chaos.**  A streamed exploration whose candidates
+   arrive in runs that differ only in RF and buffer size, so the
+   serial engine searches them with the capacity-batched kernel.  Two
+   injected ``kernel.vector_error`` faults hit the first batched group
+   and then the first per-point search it degrades to (which falls
+   back to the scalar path); every candidate row and the frontier must
+   equal a fault-free exploration.
+
+4. **Server chaos.**  Against a live TCP server: a connection eaten by
    ``netserve.conn_drop`` must surface as a transport error on that
    client only (a reconnect works); a request with a tiny
    ``deadline_ms`` must answer a terminal ``timeout`` event while a
@@ -150,6 +158,37 @@ def check_store_diff(store_path: Path, reference_rows) -> None:
     print("repro diff HEAD HEAD: exit 0 (faulted vs fault-free clean)")
 
 
+#: A DSE space whose candidates arrive in (dataflow, geometry) runs of
+#: six RF x buffer points each -- capacity-batched kernel groups.
+BATCHED_SPACE = dict(workload=LAYERS, dataflows=("RS", "OSA"), batch=1,
+                     pe_counts=(16, 32), rf_choices=(64, 128, 256),
+                     glb_choices=(8 * 1024, 16 * 1024))
+
+
+def check_batched_dse_recovery() -> None:
+    """Phase 3: vector errors inside the capacity-batched DSE path."""
+    from repro.dse import DesignSpace, explore_stream
+
+    def stream(**session_options):
+        with Session(parallel=False, **session_options) as session:
+            return [payload for kind, payload in explore_stream(
+                DesignSpace(**BATCHED_SPACE), session=session)
+                if kind in ("candidate", "result")]
+
+    faults.reset_stats()
+    faulted = stream(faults=FaultPlan.from_spec("kernel.vector_error=2"))
+    stats = faults.stats()
+    assert stats.injected.get("kernel.vector_error") == 2, stats.to_dict()
+    assert stats.kernel_degradations == 2, stats.to_dict()
+    reference = stream()
+    assert [row.to_dict() for row in faulted[:-1]] == \
+           [row.to_dict() for row in reference[:-1]], (
+        "faulted exploration's candidates differ from the fault-free run")
+    assert faulted[-1].frontier == reference[-1].frontier
+    print(f"batched DSE: {len(faulted) - 1} candidates through 2 vector "
+          f"errors (batch -> per-point -> scalar), bit-identical")
+
+
 class _ServerThread:
     """One :class:`~repro.netserve.server.EvalServer` on a loop thread."""
 
@@ -187,7 +226,7 @@ class _ServerThread:
 
 
 def check_server_chaos(seed) -> None:
-    """Phase 3: conn drop + deadline timeout against a live server."""
+    """Phase 4: conn drop + deadline timeout against a live server."""
     from repro.netserve.client import ServiceClient
     from repro.service.dispatcher import BatchDispatcher
 
@@ -252,7 +291,7 @@ def check_server_chaos(seed) -> None:
 
 
 def main(argv=None) -> int:
-    """Run the three chaos phases; return a process exit status."""
+    """Run the four chaos phases; return a process exit status."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", default="fixed",
                         help="'fixed' for the deterministic CI plan, or "
@@ -267,6 +306,7 @@ def main(argv=None) -> int:
         store_path = Path(tmp) / "chaos.sqlite"
         reference_rows = check_sweep_recovery(args.seed, store_path)
         check_store_diff(store_path, reference_rows)
+        check_batched_dse_recovery()
         check_server_chaos(args.seed)
     print(f"chaos soak passed in {time.perf_counter() - start:.1f}s")
     return 0
