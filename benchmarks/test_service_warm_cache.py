@@ -12,6 +12,7 @@ configured ``max_entries`` bound.
 import time
 
 from repro.analysis.report import format_table
+from repro.api import Session
 from repro.engine import EngineConfig, EvaluationEngine
 from repro.service import BatchDispatcher, BatchRequest
 from repro.store import ExperimentStore, StoreTierCache
@@ -35,7 +36,7 @@ def _run_once(store_path, request):
         cache = StoreTierCache(store, max_entries=MAX_ENTRIES)
         engine = EvaluationEngine(EngineConfig(parallel=False), cache)
         start = time.perf_counter()
-        result = BatchDispatcher(engine).run(request)
+        result = BatchDispatcher(Session(engine=engine)).run(request)
         elapsed = time.perf_counter() - start
         assert len(cache) <= MAX_ENTRIES
         return result, elapsed, len(cache)
@@ -77,7 +78,7 @@ def test_service_cache_stays_bounded_under_sweep(tmp_path, emit):
     with ExperimentStore(tmp_path / "tiny.db") as store:
         cache = StoreTierCache(store, max_entries=bound)
         engine = EvaluationEngine(EngineConfig(parallel=False), cache)
-        dispatcher = BatchDispatcher(engine)
+        dispatcher = BatchDispatcher(Session(engine=engine))
         for pes in (64, 128, 256):
             request = BatchRequest.from_dict(
                 {"network": "alexnet-fc", "batch": 1,

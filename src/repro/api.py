@@ -65,11 +65,16 @@ from repro.engine.core import (
 )
 from repro.nn.layer import LayerShape
 from repro.registry import (
-    dataflow_registry,
+    as_int,
+    as_ints,
+    check_fields,
     get_dataflow,
     get_network,
-    network_registry,
-    objective_registry,
+    resolve_dataflows,
+    resolve_objective,
+    resolve_workload,
+    workload_from_dict,
+    workload_to_dict,
 )
 
 #: Workload label used for scenarios built from explicit layer lists.
@@ -111,19 +116,9 @@ class ScenarioCell:
                           self.hardware, self.objective)
 
 
-def _positive_tuple(values, what: str) -> Tuple[int, ...]:
-    if isinstance(values, int) and not isinstance(values, bool):
-        values = (values,)
-    if isinstance(values, str):
-        # Iterating "256" would silently turn it into the grid (2, 5, 6).
-        raise ValueError(
-            f"{what} must be a sequence of integers, got {values!r}")
-    result = tuple(int(v) for v in values)
-    if not result or any(v < 1 for v in result):
-        raise ValueError(
-            f"{what} must be a non-empty sequence of positive integers, "
-            f"got {values!r}")
-    return result
+#: The wire fields of a scenario object (see :meth:`Scenario.from_dict`).
+_SCENARIO_FIELDS = ("network", "layers", "batch", "dataflows",
+                    "pe_counts", "rf_choices", "objective")
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,8 @@ class Scenario:
     sweep's fixed-total-area allocations, for example).
 
     Validation is eager: unknown workload/dataflow/objective names fail
-    at construction with the registered names listed.
+    at construction with the registered names listed, and grid values
+    must be true integers (see :func:`repro.registry.as_ints`).
     """
 
     workload: Union[str, Tuple[LayerShape, ...]]
@@ -153,37 +149,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         set_ = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
-        if isinstance(self.workload, str):
-            if self.workload not in network_registry:
-                raise ValueError(
-                    f"unknown network {self.workload!r}; known: "
-                    f"{sorted(network_registry)}")
-            set_("workload", self.workload.lower())
-        else:
-            layers = tuple(self.workload)
-            if not layers or not all(isinstance(l, LayerShape)
-                                     for l in layers):
-                raise ValueError(
-                    "workload must be a registered network name or a "
-                    "non-empty sequence of LayerShape objects, got "
-                    f"{self.workload!r}")
-            set_("workload", layers)
-        dataflows = ((self.dataflows,) if isinstance(self.dataflows, str)
-                     else tuple(self.dataflows))
-        if not dataflows:
-            dataflows = tuple(dataflow_registry)
-        try:
-            # Canonical registry keys, not the instances' .name: a model
-            # registered under an alias must stay resolvable by it.
-            set_("dataflows", tuple(dataflow_registry.canonical(n)
-                                    for n in dataflows))
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        set_("batches", _positive_tuple(self.batches, "batches"))
-        set_("pe_counts", _positive_tuple(self.pe_counts, "pe_counts"))
+        set_("workload", resolve_workload(self.workload))
+        set_("dataflows", resolve_dataflows(self.dataflows))
+        set_("batches", as_ints(self.batches, "batches"))
+        set_("pe_counts", as_ints(self.pe_counts, "pe_counts"))
         if self.rf_choices is not None:
-            set_("rf_choices", _positive_tuple(self.rf_choices,
-                                               "rf_choices"))
+            set_("rf_choices", as_ints(self.rf_choices, "rf_choices"))
         if self.hardware is not None:
             hardware = tuple(self.hardware)
             if not hardware or not all(isinstance(h, HardwareConfig)
@@ -192,18 +163,49 @@ class Scenario:
                     "hardware must be a non-empty sequence of "
                     "HardwareConfig points")
             set_("hardware", hardware)
-        try:
-            # Canonical spelling: the objective lands in the engine
-            # cache key, where "EDP" and "edp" must be one entry.
-            set_("objective", objective_registry.canonical(self.objective))
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(objective_registry)}") from None
+        set_("objective", resolve_objective(self.objective))
         if not isinstance(self.workload, str) and len(self.batches) > 1:
             raise ValueError(
                 "an explicit-layers workload carries its own batch size; "
                 "'batches' may only name one value (used as the row label)")
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "Scenario":
+        """Decode the wire form of a grid (the ``batch`` verb's body).
+
+        Exactly one of ``network``/``layers`` names the workload;
+        ``batch`` (default 16) is the one batch size, ``dataflows``
+        (default: all registered), ``pe_counts`` (default 256),
+        ``rf_choices`` (default: each dataflow's equal-area RF) and
+        ``objective`` (default ``energy``) complete the grid.  Unknown
+        fields are rejected.
+        """
+        check_fields(data, _SCENARIO_FIELDS, "scenario")
+        dataflows = data.get("dataflows")
+        return cls(
+            workload=workload_from_dict(data),
+            dataflows=() if dataflows is None else dataflows,
+            batches=(as_int(data.get("batch", 16), "batch", minimum=1),),
+            pe_counts=data.get("pe_counts", (256,)),
+            rf_choices=data.get("rf_choices"),
+            objective=data.get("objective", "energy"))
+
+    def to_dict(self) -> Dict:
+        """The wire form :meth:`from_dict` reads back.
+
+        Only a grid with one batch size and no explicit ``hardware``
+        points has one; anything else is a ``ValueError``.
+        """
+        if self.hardware is not None or len(self.batches) != 1:
+            raise ValueError(
+                "only a one-batch scenario without explicit hardware "
+                "points has a wire form")
+        data = workload_to_dict(self.workload)
+        data.update(batch=self.batches[0], dataflows=list(self.dataflows),
+                    pe_counts=list(self.pe_counts), objective=self.objective)
+        if self.rf_choices is not None:
+            data["rf_choices"] = list(self.rf_choices)
+        return data
 
     # ------------------------------------------------------------------
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -63,9 +62,8 @@ from repro.api import (
     Session,
     default_session,
 )
-from repro.dse import DesignSpace
+from repro.dse import SAMPLING_FIELDS, DesignSpace
 from repro.engine.core import default_engine
-from repro.registry import get_design_space
 from repro.arch.energy_costs import MemoryLevel
 from repro.arch.hardware import HardwareConfig
 from repro.dataflows.registry import DATAFLOWS
@@ -82,16 +80,16 @@ from repro.sim import simulate_layer
 from repro.store.db import ExperimentStore, default_store_path
 
 
-def _int_list(text: str) -> Tuple[int, ...]:
-    """Parse a comma-separated list of positive ints (argparse type)."""
+def _int_list(text: str, minimum: int = 1) -> Tuple[int, ...]:
+    """Parse a comma-separated list of ints >= ``minimum`` (argparse type)."""
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v < 1 for v in values):
+    if not values or any(v < minimum for v in values):
         raise argparse.ArgumentTypeError(
-            f"expected positive integers, got {text!r}")
+            f"expected integers >= {minimum}, got {text!r}")
     return values
 
 
@@ -102,15 +100,7 @@ def _size_list(text: str) -> Tuple[int, ...]:
     point: the NLR dataflow has no RF at all, and a zero-byte buffer
     is a valid (if usually infeasible) design point.
     """
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    if not values or any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected non-negative integers, got {text!r}")
-    return values
+    return _int_list(text, minimum=0)
 
 
 def _str_list(text: str) -> Tuple[str, ...]:
@@ -656,64 +646,44 @@ def cmd_storage(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The ``repro dse`` grid-flag destinations (SUPPRESS defaults: present
-#: on the namespace only when the user passed them).
-_DSE_GRID_FLAGS = ("network", "dataflows", "batch", "pes", "shapes",
-                   "rf", "glb", "equal_area", "area_budget", "objective")
+#: The ``repro dse`` grid flags (argparse destinations, SUPPRESS
+#: defaults: present on the namespace only when the user passed them)
+#: and the wire fields of :meth:`DesignSpace.from_dict` they set.
+_DSE_GRID_FLAGS = {"network": "network", "dataflows": "dataflows",
+                   "batch": "batch", "pes": "pe_counts",
+                   "shapes": "array_shapes", "rf": "rf_choices",
+                   "glb": "glb_choices", "equal_area": "equal_area",
+                   "area_budget": "area_budget", "objective": "objective"}
 
 
 def _dse_space(args: argparse.Namespace) -> DesignSpace:
     """Resolve the design space a ``repro dse`` invocation describes.
 
-    ``--space NAME`` resolves through the design-space registry and
-    takes the whole description from the registered builder; otherwise
-    the grid flags are assembled into an ad-hoc :class:`DesignSpace`.
-    Mixing ``--space`` with explicit grid flags is an error, mirroring
-    the service wire's 'space xor inline fields' rule.  The sampling
-    flags (``--sample``/``--seed``/``--sampler``) are *not* grid flags:
-    they overlay either description, so a registered space can be
-    explored under a budget.
+    The flags become the space's wire form and decode through
+    :meth:`DesignSpace.from_dict`, exactly as a ``dse`` request does:
+    ``--space NAME`` takes the whole description from the registered
+    builder, mixing it with grid flags is an error, and the sampling
+    flags (``--sample``/``--seed``/``--sampler``) overlay either form.
+    Without ``--space``, omitted grid flags take the CLI's defaults
+    (AlexNet CONV at batch 16, 64/128/256 PEs, 256/512 B RF).
     """
-    given = [name for name in _DSE_GRID_FLAGS if hasattr(args, name)]
-    sampling = {}
-    if getattr(args, "sample", None) is not None:
-        sampling["sample"] = args.sample
-    if getattr(args, "seed", None) is not None:
-        sampling["seed"] = args.seed
-    if getattr(args, "sampler", None) is not None:
-        sampling["sampler"] = args.sampler
+    data = {field: getattr(args, flag)
+            for flag, field in _DSE_GRID_FLAGS.items() if hasattr(args, flag)}
+    if "glb_choices" in data:
+        data["glb_choices"] = [kb * 1024 for kb in data["glb_choices"]]
+    data.update({name: getattr(args, name) for name in SAMPLING_FIELDS
+                 if getattr(args, name) is not None})
     if args.space is not None:
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-")
-                              for name in given)
-            raise ValueError(
-                f"--space replaces the whole grid description; drop "
-                f"{flags} (or drop --space)")
-        try:
-            space = get_design_space(args.space)
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        return replace(space, **sampling) if sampling else space
-    get = lambda name, default: getattr(args, name, default)  # noqa: E731
-    shapes = get("shapes", None)
-    pe_counts = get("pes", None)
-    if pe_counts is None:
-        pe_counts = () if shapes else (64, 128, 256)
-    options = dict(
-        workload=get("network", "alexnet-conv"),
-        batch=get("batch", 16), pe_counts=pe_counts,
-        rf_choices=get("rf", (256, 512)),
-        objective=get("objective", "energy"),
-        equal_area=get("equal_area", False),
-        area_budget=get("area_budget", None))
-    if get("dataflows", None):
-        options["dataflows"] = args.dataflows
-    if shapes:
-        options["array_shapes"] = shapes
-    glb = get("glb", None)
-    if glb is not None:
-        options["glb_choices"] = tuple(kb * 1024 for kb in glb)
-    return DesignSpace(**options, **sampling)
+        data["space"] = args.space
+    else:
+        data.setdefault("network", "alexnet-conv")
+        data.setdefault("batch", 16)
+        data.setdefault("pe_counts",
+                        [] if "array_shapes" in data else [64, 128, 256])
+        data.setdefault("rf_choices", [256, 512])
+    labels = {field: "--" + flag.replace("_", "-")
+              for flag, field in _DSE_GRID_FLAGS.items()}
+    return DesignSpace.from_dict(data, labels={**labels, "space": "--space"})
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
@@ -789,7 +759,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         return 2
     requests = parse_requests(json.loads(spec_text))
     with _service_session(args) as session:
-        results = BatchDispatcher(session).run_many(requests)
+        dispatcher = BatchDispatcher(session)
+        results = [dispatcher.run(request) for request in requests]
     if args.json:
         payload = [result.to_dict() for result in results]
         json.dump(payload[0] if len(payload) == 1 else payload,

@@ -93,7 +93,7 @@ import hashlib
 import json
 import random as _random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import (
     Callable,
@@ -117,12 +117,21 @@ from repro.energy.model import NetworkEvaluation
 from repro.engine.core import NetworkJob
 from repro.nn.layer import LayerShape
 from repro.registry import (
-    dataflow_registry,
+    as_area_budget,
+    as_bool,
+    as_int,
+    as_ints,
+    as_shapes,
+    check_fields,
     get_dataflow,
+    get_design_space,
     get_network,
-    network_registry,
-    objective_registry,
     register_design_space,
+    resolve_dataflows,
+    resolve_objective,
+    resolve_workload,
+    workload_from_dict,
+    workload_to_dict,
 )
 
 #: Workload label used for spaces built from explicit layer lists.
@@ -144,6 +153,18 @@ DEFAULT_METRICS = ("energy_per_op", "delay_per_op", "area")
 
 #: Candidate-sampling strategies ``DesignSpace.sampler`` accepts.
 SAMPLERS = ("random", "halton")
+
+#: The wire fields that describe a space inline; the first two name
+#: the workload.  A registered ``space`` replaces all of them.
+_GRID_FIELDS = ("network", "layers", "batch", "dataflows", "pe_counts",
+                "array_shapes", "rf_choices", "glb_choices", "equal_area",
+                "area_budget", "objective", "metrics")
+
+#: The sampling-budget wire fields, which overlay either description.
+SAMPLING_FIELDS = ("sample", "seed", "sampler")
+
+#: Every wire field :meth:`DesignSpace.from_dict` reads.
+_SPACE_FIELDS = ("space", *SAMPLING_FIELDS, *_GRID_FIELDS)
 
 #: Default number of candidates per streamed evaluation chunk.
 DEFAULT_CHUNK = 256
@@ -222,34 +243,6 @@ class DesignPoint:
                 f"{self.rf_bytes_per_pe} B RF/PE, "
                 f"{self.buffer_bytes / 1024:.0f} kB buffer "
                 f"(area {self.area:.0f})")
-
-
-def _positive_tuple(values, what: str, minimum: int = 1) -> Tuple[int, ...]:
-    """Normalize a scalar/sequence of ints, rejecting strings and zeros."""
-    if isinstance(values, int) and not isinstance(values, bool):
-        values = (values,)
-    if isinstance(values, str):
-        # Iterating "256" would silently turn it into the grid (2, 5, 6).
-        raise ValueError(
-            f"{what} must be a sequence of integers, got {values!r}")
-    result = tuple(int(v) for v in values)
-    if any(v < minimum for v in result):
-        raise ValueError(
-            f"{what} must be integers >= {minimum}, got {values!r}")
-    return result
-
-
-def _shape_tuple(values) -> Tuple[Tuple[int, int], ...]:
-    """Normalize ``array_shapes`` into ((h, w), ...) pairs."""
-    shapes = []
-    for entry in values:
-        pair = tuple(int(v) for v in entry)
-        if len(pair) != 2 or any(v < 1 for v in pair):
-            raise ValueError(
-                f"array_shapes entries must be (height, width) pairs of "
-                f"positive integers, got {entry!r}")
-        shapes.append(pair)
-    return tuple(shapes)
 
 
 def _van_der_corput(index: int, base: int = 2) -> float:
@@ -362,83 +355,103 @@ class DesignSpace:
 
     def __post_init__(self) -> None:
         set_ = lambda name, value: object.__setattr__(self, name, value)  # noqa: E731
-        if isinstance(self.workload, str):
-            if self.workload not in network_registry:
-                raise ValueError(
-                    f"unknown network {self.workload!r}; known: "
-                    f"{sorted(network_registry)}")
-            set_("workload", self.workload.lower())
-        else:
-            layers = tuple(self.workload)
-            if not layers or not all(isinstance(l, LayerShape)
-                                     for l in layers):
-                raise ValueError(
-                    "workload must be a registered network name or a "
-                    "non-empty sequence of LayerShape objects, got "
-                    f"{self.workload!r}")
-            set_("workload", layers)
-        dataflows = ((self.dataflows,) if isinstance(self.dataflows, str)
-                     else tuple(self.dataflows))
-        if not dataflows:
-            dataflows = tuple(dataflow_registry)
-        try:
-            set_("dataflows", tuple(dataflow_registry.canonical(n)
-                                    for n in dataflows))
-        except KeyError as exc:
-            raise ValueError(str(exc.args[0])) from None
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        set_("pe_counts", _positive_tuple(self.pe_counts, "pe_counts"))
-        set_("array_shapes", _shape_tuple(self.array_shapes))
+        set_("workload", resolve_workload(self.workload))
+        set_("dataflows", resolve_dataflows(self.dataflows))
+        set_("batch", as_int(self.batch, "batch", minimum=1))
+        set_("pe_counts", as_ints(self.pe_counts, "pe_counts",
+                                  allow_empty=True))
+        set_("array_shapes", as_shapes(self.array_shapes))
         if not self.pe_counts and not self.array_shapes:
             raise ValueError(
                 "a design space needs at least one PE-array geometry: "
                 "set pe_counts and/or array_shapes")
-        set_("rf_choices", _positive_tuple(self.rf_choices, "rf_choices",
-                                           minimum=0))
-        if not self.rf_choices:
-            raise ValueError("rf_choices must name at least one RF size")
+        set_("rf_choices", as_ints(self.rf_choices, "rf_choices", minimum=0))
+        as_bool(self.equal_area, "equal_area")
         if self.equal_area and self.glb_choices is not None:
             raise ValueError(
                 "equal_area=True derives the global buffer from the area "
                 "budget; explicit glb_choices are contradictory")
         if self.glb_choices is not None:
-            glb = _positive_tuple(self.glb_choices, "glb_choices",
-                                  minimum=0)
-            if not glb:
-                raise ValueError(
-                    "glb_choices must name at least one buffer size")
-            set_("glb_choices", glb)
-        if self.area_budget is not None and self.area_budget <= 0:
-            raise ValueError(
-                f"area_budget must be positive, got {self.area_budget}")
-        try:
-            set_("objective", objective_registry.canonical(self.objective))
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; known: "
-                f"{list(objective_registry)}") from None
+            set_("glb_choices", as_ints(self.glb_choices, "glb_choices",
+                                        minimum=0))
+        if self.area_budget is not None:
+            as_area_budget(self.area_budget)
+        set_("objective", resolve_objective(self.objective))
         metrics = ((self.metrics,) if isinstance(self.metrics, str)
-                   else tuple(self.metrics))
-        unknown = [m for m in metrics if m not in CANDIDATE_METRICS]
-        if unknown or not metrics:
+                   else self.metrics)
+        if not isinstance(metrics, (list, tuple)) or not metrics or any(
+                m not in CANDIDATE_METRICS for m in metrics):
             raise ValueError(
-                f"unknown Pareto metric(s) {unknown}; known: "
+                f"unknown Pareto metric(s) in {self.metrics!r}; known: "
                 f"{list(CANDIDATE_METRICS)}")
-        set_("metrics", metrics)
+        set_("metrics", tuple(metrics))
         if self.sample is not None:
-            if isinstance(self.sample, bool) or int(self.sample) < 1:
-                raise ValueError(
-                    f"sample must be a positive integer, got "
-                    f"{self.sample!r}")
-            set_("sample", int(self.sample))
-        set_("seed", int(self.seed))
-        sampler = str(self.sampler).lower()
-        if sampler not in SAMPLERS:
+            set_("sample", as_int(self.sample, "sample", minimum=1))
+        set_("seed", as_int(self.seed, "seed"))
+        if not isinstance(self.sampler, str) \
+                or self.sampler.lower() not in SAMPLERS:
             raise ValueError(
                 f"unknown sampler {self.sampler!r}; known: "
                 f"{list(SAMPLERS)}")
-        set_("sampler", sampler)
+        set_("sampler", self.sampler.lower())
+
+    @classmethod
+    def from_dict(cls, data: Dict, labels: Optional[Dict[str, str]] = None
+                  ) -> "DesignSpace":
+        """Decode the wire form of a space (the ``dse`` verb's body).
+
+        Either ``space`` names a registered design space, or the inline
+        grid fields (``network``/``layers``, ``batch``, ``dataflows``,
+        ``pe_counts``, ``array_shapes``, ``rf_choices``, ``glb_choices``,
+        ``equal_area``, ``area_budget``, ...) describe one ad hoc;
+        setting both is an error, as are unknown fields.  The sampling
+        budget (``sample``/``seed``/``sampler``) overlays either form.
+        ``labels`` renames fields in the space-vs-grid error (the CLI
+        passes its flag spellings).
+        """
+        check_fields(data, _SPACE_FIELDS, "design-space")
+        sampling = {name: data[name] for name in SAMPLING_FIELDS
+                    if name in data}
+        if "space" in data:
+            inline = [name for name in _GRID_FIELDS if name in data]
+            if inline:
+                label = (labels or {}).get
+                names = ", ".join(label(name, repr(name)) for name in inline)
+                raise ValueError(
+                    f"{label('space', repr('space'))} replaces the whole "
+                    f"grid description and conflicts with {names}; "
+                    f"pick one")
+            try:
+                space = get_design_space(data["space"])
+            except KeyError as exc:
+                raise ValueError(str(exc.args[0])) from None
+            return replace(space, **sampling) if sampling else space
+        options = {name: data[name] for name in _GRID_FIELDS[2:]
+                   if name in data}
+        if options.get("area_budget") is not None:
+            options["area_budget"] = float(
+                as_area_budget(options["area_budget"]))
+        return cls(workload_from_dict(data), **options, **sampling)
+
+    def to_dict(self) -> Dict:
+        """The inline wire form :meth:`from_dict` reads back."""
+        data = workload_to_dict(self.workload)
+        data.update(dataflows=list(self.dataflows), batch=self.batch,
+                    objective=self.objective, metrics=list(self.metrics))
+        if self.pe_counts:
+            data["pe_counts"] = list(self.pe_counts)
+        if self.array_shapes:
+            data["array_shapes"] = [list(s) for s in self.array_shapes]
+        data["rf_choices"] = list(self.rf_choices)
+        if self.glb_choices is not None:
+            data["glb_choices"] = list(self.glb_choices)
+        data["equal_area"] = self.equal_area
+        if self.area_budget is not None:
+            data["area_budget"] = self.area_budget
+        if self.sample is not None:
+            data["sample"] = self.sample
+        data.update(seed=self.seed, sampler=self.sampler)
+        return data
 
     # ------------------------------------------------------------------
 

@@ -192,16 +192,15 @@ class RequestHandler:
         # it here so verb-level schemas never see (and reject) it.
         request_priority(payload, pop=True)
         verb = payload.get("verb", "batch")
-        if verb == "batch":
+        if verb in ("batch", "evaluate"):
             body = {k: v for k, v in payload.items() if k != "verb"}
             request = BatchRequest.from_dict(body, default_id=request_id)
-            yield self.dispatcher.run(request,
-                                      parallel=self.parallel).to_dict()
-        elif verb == "evaluate":
-            body = {k: v for k, v in payload.items() if k != "verb"}
-            request = BatchRequest.from_dict(body, default_id=request_id)
-            yield from self.dispatcher.stream_batch(request,
-                                                    parallel=self.parallel)
+            if verb == "evaluate":
+                yield from self.dispatcher.stream_batch(
+                    request, parallel=self.parallel)
+            else:
+                yield self.dispatcher.run(request,
+                                          parallel=self.parallel).to_dict()
         elif verb == "dse":
             request = DseRequest.from_dict(payload, default_id=request_id)
             if request.stream:

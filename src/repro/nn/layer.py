@@ -40,6 +40,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Dict
+
+from repro.registry import as_int, check_fields
+
+#: The wire fields of a layer object (see :meth:`LayerShape.from_dict`).
+_LAYER_FIELDS = ("name", "H", "R", "E", "C", "M", "U", "N", "type",
+                 "groups", "dilation")
 
 
 class LayerType(enum.Enum):
@@ -109,6 +116,43 @@ class LayerShape:
                     f"{self.name}: FC layers require H=R, E=1, U=1 "
                     f"(got H={self.H}, R={self.R}, E={self.E}, U={self.U})"
                 )
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "LayerShape":
+        """Build a layer from its JSON wire object (see :meth:`to_dict`).
+
+        ``E`` may be omitted; it is derived from Eq. (1) as
+        ``(H - R_eff + U) // U`` with ``R_eff = dilation*(R-1)+1`` (the
+        shape validation still applies, so inconsistent explicit values
+        are rejected).  ``type`` defaults to ``CONV`` and ``U``, ``N``,
+        ``groups`` and ``dilation`` to 1.
+        """
+        check_fields(data, _LAYER_FIELDS, "layer")
+        try:
+            kind = LayerType(str(data.get("type", "CONV")).upper())
+        except ValueError:
+            raise ValueError(
+                f"unknown layer type {data.get('type')!r}; known: "
+                f"{[t.value for t in LayerType]}") from None
+        missing = {"name", "H", "R", "C", "M"} - set(data)
+        if missing:
+            raise ValueError(f"layer is missing field(s) {sorted(missing)}")
+        h, r, u, dilation = (as_int(data.get(key, 1), key, minimum=1)
+                             for key in ("H", "R", "U", "dilation"))
+        r_eff = dilation * (r - 1) + 1
+        e = as_int(data["E"], "E") if "E" in data else (h - r_eff + u) // u
+        return cls(name=str(data["name"]), H=h, R=r, E=e,
+                   C=as_int(data["C"], "C"), M=as_int(data["M"], "M"), U=u,
+                   N=as_int(data.get("N", 1), "N"), layer_type=kind,
+                   groups=as_int(data.get("groups", 1), "groups"),
+                   dilation=dilation)
+
+    def to_dict(self) -> Dict:
+        """The JSON wire form of this layer."""
+        return {"name": self.name, "type": self.layer_type.value,
+                "H": self.H, "R": self.R, "E": self.E, "C": self.C,
+                "M": self.M, "U": self.U, "N": self.N,
+                "groups": self.groups, "dilation": self.dilation}
 
     def __getattr__(self, name: str) -> int:
         # Compatibility shim for instances that predate the groups /

@@ -29,13 +29,35 @@ become one-registration changes.
 The registries seed themselves lazily from the package's own modules on
 first lookup, so ``import repro.registry`` alone stays cheap and free
 of import cycles.
+
+The module also holds the one strict rule set every request object
+decodes through (:func:`as_int`, :func:`as_ints`, :func:`as_shapes`,
+:func:`as_bool`, :func:`as_area_budget`, and the name resolvers
+:func:`resolve_workload`, :func:`resolve_dataflows` and
+:func:`resolve_objective`): :class:`repro.api.Scenario`,
+:class:`repro.dse.DesignSpace` and :class:`repro.nn.layer.LayerShape`
+validate with it whether they are built in Python, from CLI flags or
+from a wire object.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
+import numbers
+import operator
 import threading
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 T = TypeVar("T")
 
@@ -328,3 +350,187 @@ def objective_names() -> List[str]:
 def design_space_names() -> List[str]:
     """The registered design-space names, in registration order."""
     return design_space_registry.names()
+
+
+# ----------------------------------------------------------------------
+# Strict field coercion: the one rule set every request decodes through.
+#
+# Scenario, DesignSpace and LayerShape validate their fields here,
+# whether they are built in Python, from CLI flags or from a wire
+# object.  An integer is an ``operator.index`` value that is not a
+# ``bool`` (numpy integers pass; floats and numeric strings do not); a
+# flag must be a real ``bool``.
+# ----------------------------------------------------------------------
+
+
+def as_int(value, what: str, minimum: Optional[int] = None) -> int:
+    """``value`` as a plain ``int``; ``ValueError`` unless it is one.
+
+    ``minimum`` (when given) is the smallest accepted value.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"'{what}' must be an integer, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"'{what}' must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(
+            f"'{what}' must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
+def as_ints(values, what: str, minimum: int = 1,
+            allow_empty: bool = False) -> Tuple[int, ...]:
+    """A list of integers (or one bare integer) as a tuple of ``int``."""
+    if isinstance(values, numbers.Integral) and not isinstance(values, bool):
+        values = (values,)  # a bare scalar is an obvious one-point grid
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError  # iterating "256" would make the grid (2, 5, 6)
+        result = tuple(as_int(value, what) for value in values)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"'{what}' must be a list of integers, got {values!r}") from None
+    if (not result and not allow_empty) or any(v < minimum for v in result):
+        kind = ("positive integers" if minimum == 1
+                else f"integers >= {minimum}")
+        raise ValueError(
+            f"'{what}' must be a {'' if allow_empty else 'non-empty '}"
+            f"list of {kind}, got {values!r}")
+    return result
+
+
+def as_shapes(values, what: str = "array_shapes"
+              ) -> Tuple[Tuple[int, int], ...]:
+    """A list of ``[height, width]`` pairs of positive integers."""
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
+        shapes = tuple(as_ints(entry, what, allow_empty=True)
+                       for entry in values)
+        if any(len(shape) != 2 for shape in shapes):
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"'{what}' must be a list of [height, width] pairs of "
+            f"positive integers, got {values!r}") from None
+    return shapes
+
+
+def as_bool(value, what: str) -> bool:
+    """``value`` if it is a ``bool``; ``ValueError`` otherwise."""
+    if not isinstance(value, bool):
+        raise ValueError(f"'{what}' must be true or false, got {value!r}")
+    return value
+
+
+def as_area_budget(value):
+    """A finite, positive storage-area budget (returned unchanged)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0):
+        raise ValueError(
+            f"'area_budget' must be a finite positive number, "
+            f"got {value!r}")
+    return value
+
+
+def check_fields(data, known: Sequence[str], what: str) -> None:
+    """Refuse a non-object ``data`` or one with fields outside ``known``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be an object, got {data!r}")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(
+            f"unknown {what} field(s) {sorted(unknown)}; "
+            f"known: {list(known)}")
+
+
+def resolve_workload(workload):
+    """A registered network name (lower-cased) or a non-empty tuple of
+    :class:`~repro.nn.layer.LayerShape` objects."""
+    from repro.nn.layer import LayerShape  # lazy: keeps this module leaf
+
+    if isinstance(workload, str):
+        if workload not in network_registry:
+            raise ValueError(
+                f"unknown network {workload!r}; known: "
+                f"{sorted(network_registry)}")
+        return workload.lower()
+    try:
+        layers = tuple(workload)
+    except TypeError:
+        layers = ()
+    if not layers or not all(isinstance(l, LayerShape) for l in layers):
+        raise ValueError(
+            "workload must be a registered network name or a non-empty "
+            f"sequence of LayerShape objects, got {workload!r}")
+    return layers
+
+
+def resolve_dataflows(dataflows) -> Tuple[str, ...]:
+    """Canonical dataflow names; an empty selection means all of them.
+
+    Canonical registry keys, not the instances' ``.name``: a model
+    registered under an alias must stay resolvable by it.
+    """
+    try:
+        names = tuple((dataflows,) if isinstance(dataflows, str)
+                      else dataflows)
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError
+    except TypeError:
+        raise ValueError(
+            f"'dataflows' must be a list of names, got {dataflows!r}") \
+            from None
+    try:
+        return tuple(dataflow_registry.canonical(name)
+                     for name in names or dataflow_registry)
+    except KeyError as exc:
+        raise ValueError(str(exc.args[0])) from None
+
+
+def resolve_objective(objective) -> str:
+    """The canonical objective name.
+
+    The objective lands in the engine cache key, where ``"EDP"`` and
+    ``"edp"`` must be one entry.
+    """
+    try:
+        return objective_registry.canonical(objective)
+    except KeyError:
+        raise ValueError(
+            f"unknown objective {objective!r}; known: "
+            f"{list(objective_registry)}") from None
+
+
+def workload_from_dict(data: Dict):
+    """The workload of a wire object: its ``network`` name or its
+    ``layers`` list, decoded through
+    :meth:`~repro.nn.layer.LayerShape.from_dict`.
+
+    Exactly one of the two must be set (``null`` counts as unset).
+    """
+    from repro.nn.layer import LayerShape  # lazy: keeps this module leaf
+
+    network, layers = data.get("network"), data.get("layers")
+    if (network is None) == (layers is None):
+        raise ValueError("set exactly one of 'network' or 'layers'")
+    if network is not None:
+        if not isinstance(network, str):
+            raise ValueError(
+                f"'network' must be a registered network name, "
+                f"got {network!r}")
+        return resolve_workload(network)
+    if not isinstance(layers, list) or not layers:
+        raise ValueError("'layers' must be a non-empty list")
+    return tuple(LayerShape.from_dict(entry) for entry in layers)
+
+
+def workload_to_dict(workload) -> Dict:
+    """The wire form of a resolved workload (see
+    :func:`workload_from_dict`)."""
+    if isinstance(workload, str):
+        return {"network": workload}
+    return {"layers": [layer.to_dict() for layer in workload]}

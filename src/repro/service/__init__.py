@@ -1,18 +1,25 @@
 """Batch evaluation service: the scale tier over the engine.
 
 ``repro.service`` answers *grids* of evaluation problems instead of
-single calls.  A :class:`~repro.service.schema.BatchRequest` names a
-workload (a reference network or explicit layers), a set of dataflows,
-a hardware grid and an objective; the
-:class:`~repro.service.dispatcher.BatchDispatcher` expands it into
-deduplicated engine jobs, fans them out through the shared
-:class:`~repro.engine.core.EvaluationEngine`, and aggregates a
-:class:`~repro.service.schema.BatchResult` with per-cell metrics and
-the request's cache traffic.
+single calls.  Its request types are thin envelopes -- an ``id`` and
+delivery options -- around the objects that own their wire form: a
+:class:`~repro.service.schema.BatchRequest` wraps a
+:class:`repro.api.Scenario` (a reference network or explicit layers, a
+set of dataflows, a hardware grid and an objective, decoded by
+:meth:`~repro.api.Scenario.from_dict`), so the Python API, the CLI and
+the wire validate through one codec.  The
+:class:`~repro.service.dispatcher.BatchDispatcher` evaluates the
+scenario as deduplicated engine jobs through the shared
+:class:`~repro.engine.core.EvaluationEngine` and answers with a
+:class:`~repro.service.schema.BatchResult` of :class:`repro.api.Result`
+rows (rendered by :func:`~repro.service.schema.wire_cell`) plus the
+request's cache traffic.
 
 The JSON-lines loop also speaks a ``dse`` verb: a
-:class:`~repro.service.schema.DseRequest` runs a hardware design-space
-exploration (:mod:`repro.dse`) on the same session and answers with a
+:class:`~repro.service.schema.DseRequest` wraps a
+:class:`repro.dse.DesignSpace` (decoded by
+:meth:`~repro.dse.DesignSpace.from_dict`), runs the exploration on the
+same session and answers with a
 :class:`~repro.service.schema.DseResult` carrying the Pareto front.
 
 The ``query`` verb reads recorded cells back out of the session's
@@ -30,22 +37,16 @@ cheap.  :mod:`repro.service.server` is the stdin/stdout JSON-lines loop behind
 ``repro serve``.
 """
 
-from repro.service.dispatcher import (
-    BatchDispatcher,
-    equal_area_hardware,
-    expand_request,
-)
+from repro.service.dispatcher import BatchDispatcher
 from repro.service.schema import (
     BatchRequest,
     BatchResult,
-    CellResult,
     DseRequest,
     DseResult,
     QueryRequest,
     QueryResult,
-    layer_from_dict,
-    layer_to_dict,
     parse_requests,
+    wire_cell,
 )
 from repro.service.server import serve
 from repro.store.db import STORE_ENV, default_store_path
@@ -54,17 +55,13 @@ __all__ = [
     "BatchDispatcher",
     "BatchRequest",
     "BatchResult",
-    "CellResult",
     "DseRequest",
     "DseResult",
     "QueryRequest",
     "QueryResult",
     "STORE_ENV",
     "default_store_path",
-    "equal_area_hardware",
-    "expand_request",
-    "layer_from_dict",
-    "layer_to_dict",
     "parse_requests",
     "serve",
+    "wire_cell",
 ]

@@ -1,108 +1,88 @@
-"""Grid expansion and aggregation: BatchRequest -> BatchResult.
+"""Request dispatch: envelopes in, wire results out.
 
-The dispatcher is the service's wire adapter over the unified facade:
-each :class:`~repro.service.schema.BatchRequest` is translated into a
+The dispatcher is the service's adapter over the unified facade: each
+:class:`~repro.service.schema.BatchRequest` carries a
 :class:`repro.api.Scenario`, answered through a
 :class:`repro.api.Session` (one deduplicated engine batch, so a grid of
 G cells over L layers fans out as at most G x L layer evaluations,
 minus everything the cache already covers), and the resulting
-:class:`repro.api.ResultSet` rows are folded back into the service's
-JSON schema.  Per-request cache traffic is measured as a stats delta
-and reported in the :class:`BatchResult`.
+:class:`repro.api.Result` rows become the :class:`BatchResult`.  A
+:class:`~repro.service.schema.DseRequest` carries a
+:class:`repro.dse.DesignSpace` explored on the same session.
+Per-request cache traffic is measured as a stats delta and reported in
+each result.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Union
+from typing import Optional
 
-from repro.api import (
-    EmptyScenarioError,
-    Result,
-    Scenario,
-    ScenarioCell,
-    Session,
-    default_session,
-)
-from repro.dataflows.registry import equal_area_hardware  # noqa: F401  (re-export)
+from repro.api import EmptyScenarioError, Scenario, Session, default_session
 from repro.dse import EmptyDesignSpaceError
 from repro.engine.core import EvaluationEngine
 from repro.service.schema import (
     BatchRequest,
     BatchResult,
-    CellResult,
     DseRequest,
     DseResult,
     QueryRequest,
     QueryResult,
+    wire_cell,
 )
 
 
 def scenario_from_request(request: BatchRequest) -> Scenario:
     """The facade-level description of one request's grid."""
-    workload = (request.layers if request.layers is not None
-                else request.network)
-    return Scenario(
-        workload=workload,
-        dataflows=request.dataflows,
-        batches=(request.batch,),
-        pe_counts=request.pe_counts,
-        rf_choices=request.rf_choices,
-        objective=request.objective,
-    )
-
-
-def expand_request(request: BatchRequest) -> List[ScenarioCell]:
-    """Expand a request grid into resolved scenario cells.
-
-    Hardware points whose RF demand exceeds the equal-area storage
-    budget are skipped (they have no valid configuration, mirroring how
-    the Fig. 15 sweep prunes its grid); a grid with *no* surviving
-    point is an error.
-    """
-    try:
-        return list(scenario_from_request(request).cells())
-    except EmptyScenarioError as exc:
-        raise ValueError(
-            f"request {request.request_id!r} {exc}") from None
+    return request.scenario
 
 
 class BatchDispatcher:
-    """Runs batch requests on a facade session."""
+    """Runs service requests on a facade session."""
 
-    def __init__(self, session: Optional[Union[Session, EvaluationEngine]]
-                 = None) -> None:
-        if session is None:
-            session = default_session()
-        elif isinstance(session, EvaluationEngine):
-            # Compatibility: callers used to hand the dispatcher a bare
-            # engine; wrap it (the session then doesn't own its pool).
-            session = Session(engine=session)
-        self.session = session
+    def __init__(self, session: Optional[Session] = None) -> None:
+        self.session = session if session is not None else default_session()
 
     @property
     def engine(self) -> EvaluationEngine:
         """The engine behind this dispatcher's session."""
         return self.session.engine
 
-    def run(self, request: BatchRequest,
-            parallel: Optional[bool] = None) -> BatchResult:
-        """Expand, evaluate and aggregate one request."""
-        start = time.perf_counter()
-        before = self.session.cache.stats
-        scenario = scenario_from_request(request)
-        try:
-            results = self.session.evaluate(scenario, parallel=parallel)
-        except EmptyScenarioError as exc:
-            raise ValueError(
-                f"request {request.request_id!r} {exc}") from None
+    def _batch_result(self, request_id: str, rows, start: float,
+                      before) -> BatchResult:
+        """Fold grid-ordered rows into the answer to one request."""
         return BatchResult(
-            request_id=request.request_id,
-            cells=tuple(self._cell_result(row) for row in results),
-            layer_jobs=sum(len(row.evaluation.layers) for row in results),
+            request_id=request_id,
+            cells=tuple(rows),
+            layer_jobs=sum(len(row.evaluation.layers) for row in rows),
             elapsed_s=time.perf_counter() - start,
             cache=self.session.cache.stats.since(before),
         )
+
+    def _dse_result(self, request: DseRequest, pareto, start: float,
+                    before) -> DseResult:
+        """Fold an exploration's frontier into the answer to one request."""
+        return DseResult(
+            request_id=request.request_id,
+            pareto=pareto,
+            elapsed_s=time.perf_counter() - start,
+            include_dominated=request.include_dominated,
+            cache=self.session.cache.stats.since(before),
+        )
+
+    def run(self, request: BatchRequest,
+            parallel: Optional[bool] = None) -> BatchResult:
+        """Evaluate and aggregate one request."""
+        start = time.perf_counter()
+        before = self.session.cache.stats
+        try:
+            results = self.session.evaluate(request.scenario,
+                                            parallel=parallel)
+        except EmptyScenarioError as exc:
+            raise ValueError(
+                f"request {request.request_id!r} {exc}") from None
+        return self._batch_result(request.request_id, results.rows, start,
+                                  before)
 
     def stream_batch(self, request: BatchRequest,
                      parallel: Optional[bool] = None):
@@ -119,34 +99,21 @@ class BatchDispatcher:
         """
         start = time.perf_counter()
         before = self.session.cache.stats
-        scenario = scenario_from_request(request)
         request_id = request.request_id
         rows: dict = {}
         try:
             for index, row in self.session.stream_indexed(
-                    scenario, parallel=parallel):
+                    request.scenario, parallel=parallel):
                 rows[index] = row
                 yield {"id": request_id, "verb": "evaluate",
-                       "event": "cell", "index": index,
-                       **self._cell_result(row).to_dict()}
+                       "event": "cell", "index": index, **wire_cell(row)}
         except EmptyScenarioError as exc:
             raise ValueError(
                 f"request {request_id!r} {exc}") from None
-        ordered = [rows[index] for index in sorted(rows)]
-        result = BatchResult(
-            request_id=request_id,
-            cells=tuple(self._cell_result(row) for row in ordered),
-            layer_jobs=sum(len(row.evaluation.layers) for row in ordered),
-            elapsed_s=time.perf_counter() - start,
-            cache=self.session.cache.stats.since(before),
-        )
+        result = self._batch_result(
+            request_id, [rows[index] for index in sorted(rows)], start,
+            before)
         yield {"verb": "evaluate", "event": "result", **result.to_dict()}
-
-    def run_many(self, requests: List[BatchRequest],
-                 parallel: Optional[bool] = None) -> List[BatchResult]:
-        """Run several requests; later ones reuse earlier ones' cache."""
-        return [self.run(request, parallel=parallel)
-                for request in requests]
 
     def run_dse(self, request: DseRequest,
                 parallel: Optional[bool] = None) -> DseResult:
@@ -165,13 +132,7 @@ class BatchDispatcher:
         except EmptyDesignSpaceError as exc:
             raise ValueError(
                 f"dse request {request.request_id!r} {exc}") from None
-        return DseResult(
-            request_id=request.request_id,
-            pareto=pareto,
-            elapsed_s=time.perf_counter() - start,
-            include_dominated=request.include_dominated,
-            cache=self.session.cache.stats.since(before),
-        )
+        return self._dse_result(request, pareto, start, before)
 
     def stream_dse(self, request: DseRequest,
                    parallel: Optional[bool] = None):
@@ -202,13 +163,8 @@ class BatchDispatcher:
                     yield {"id": request_id, "verb": "dse",
                            "event": "progress", **payload}
                 else:
-                    result = DseResult(
-                        request_id=request_id,
-                        pareto=payload,
-                        elapsed_s=time.perf_counter() - start,
-                        include_dominated=request.include_dominated,
-                        cache=self.session.cache.stats.since(before),
-                    )
+                    result = self._dse_result(request, payload, start,
+                                              before)
                     yield {"event": "result", **result.to_dict()}
         except EmptyDesignSpaceError as exc:
             raise ValueError(
@@ -234,24 +190,4 @@ class BatchDispatcher:
             request_id=request.request_id,
             rows=tuple(rows),
             elapsed_s=time.perf_counter() - start,
-        )
-
-    @staticmethod
-    def _cell_result(row: Result) -> CellResult:
-        if not row.feasible:
-            return CellResult(
-                dataflow=row.dataflow, num_pes=row.num_pes,
-                rf_bytes_per_pe=row.rf_bytes_per_pe, batch=row.batch,
-                objective=row.objective, feasible=False)
-        return CellResult(
-            dataflow=row.dataflow,
-            num_pes=row.num_pes,
-            rf_bytes_per_pe=row.rf_bytes_per_pe,
-            batch=row.batch,
-            objective=row.objective,
-            feasible=True,
-            energy_per_op=row.energy_per_op,
-            delay_per_op=row.delay_per_op,
-            edp_per_op=row.edp_per_op,
-            dram_accesses_per_op=row.dram_accesses_per_op,
         )

@@ -120,8 +120,8 @@ class TestScenario:
         (dict(workload="alexnet-fc", batches=()), "batches"),
         (dict(workload="alexnet-fc", pe_counts=(0,)), "pe_counts"),
         # a string grid must not be iterated character-by-character
-        (dict(workload="alexnet-fc", pe_counts="256"), "sequence"),
-        (dict(workload="alexnet-fc", batches="16"), "sequence"),
+        (dict(workload="alexnet-fc", pe_counts="256"), "list of integers"),
+        (dict(workload="alexnet-fc", batches="16"), "list of integers"),
         (dict(workload=()), "workload"),
     ])
     def test_validation_errors(self, kwargs, match):
@@ -424,7 +424,7 @@ class TestRegistries:
             request = BatchRequest.from_dict(
                 {"network": "tinynet-test", "dataflows": ["RS"],
                  "pe_counts": [64], "batch": 1})
-            assert request.resolved_layers[0].name == "C1"
+            assert request.scenario.layers_for(1)[0].name == "C1"
         finally:
             network_registry.remove("tinynet-test")
 

@@ -296,6 +296,35 @@ class TestCliDse:
                      "6", "--serial", "--json", "--all"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 6
 
+    @pytest.mark.parametrize("flags,spec", [
+        (["--network", "alexnet-fc", "--batch", "1", "--dataflows",
+          "RS,NLR", "--pes", "16,32", "--rf", "64,128", "--glb", "8,16",
+          "--sample", "5", "--seed", "3"],
+         {"network": "alexnet-fc", "batch": 1, "dataflows": ["RS", "NLR"],
+          "pe_counts": [16, 32], "rf_choices": [64, 128],
+          "glb_choices": [8192, 16384], "sample": 5, "seed": 3}),
+        (["--space", "chip-neighborhood", "--sample", "4", "--seed", "2",
+          "--sampler", "halton"],
+         {"space": "chip-neighborhood", "sample": 4, "seed": 2,
+          "sampler": "halton"}),
+    ], ids=["grid-flags", "registered-space"])
+    def test_dse_cli_matches_the_wire_verb(self, capsys, flags, spec):
+        # One description, two front doors: the CLI flags and the wire
+        # object decode through the same DesignSpace codec, so the
+        # frontier rows must be identical.
+        from repro.api import Session
+        from repro.netserve.core import RequestHandler
+        from repro.service.dispatcher import BatchDispatcher
+
+        assert main(["dse", *flags, "--serial", "--json"]) == 0
+        cli_rows = json.loads(capsys.readouterr().out)
+        with Session(parallel=False) as session:
+            handler = RequestHandler(BatchDispatcher(session),
+                                     parallel=False)
+            events = list(handler.handle(dict(spec, verb="dse"), "wire"))
+        assert events[-1]["verb"] == "dse", events[-1]
+        assert cli_rows and events[-1]["front"] == cli_rows
+
     def test_dse_resume_without_store_exits_2(self, capsys):
         assert main(self.ARGS + ["--resume"]) == 2
         assert "recording session" in capsys.readouterr().err

@@ -83,7 +83,7 @@ class TestDesignSpaceValidation:
 
     def test_string_grid_rejected(self):
         # Iterating "256" would silently become the grid (2, 5, 6).
-        with pytest.raises(ValueError, match="sequence of integers"):
+        with pytest.raises(ValueError, match="list of integers"):
             tiny_space(pe_counts="256")
 
     def test_dataflows_default_to_all_registered(self):

@@ -32,7 +32,7 @@ from repro.netserve.protocol import (
     request_priority,
 )
 from repro.service.dispatcher import BatchDispatcher
-from repro.service.schema import BatchRequest
+from repro.service.schema import BatchRequest, wire_cell
 from repro.store.db import ExperimentStore
 
 #: Two deliberately overlapping tiny workloads (same layers, different
@@ -279,7 +279,7 @@ class TestTcpServer:
                 expected = dispatcher.run(BatchRequest.from_dict(
                     {k: v for k, v in spec.items() if k != "verb"}))
                 got = answers[spec["id"]][-1]
-                assert got["cells"] == [cell.to_dict()
+                assert got["cells"] == [wire_cell(cell)
                                         for cell in expected.cells]
 
         assert metrics["cache"]["lru_hits"] > 0
@@ -547,7 +547,7 @@ class TestModernWorkloadService:
             expected = BatchDispatcher(reference).run(
                 BatchRequest.from_dict(
                     {k: v for k, v in self.SPEC_G.items() if k != "verb"}))
-        assert reply["cells"] == [cell.to_dict()
+        assert reply["cells"] == [wire_cell(cell)
                                   for cell in expected.cells]
 
     def test_invalid_grouped_layer_reports_error(self):

@@ -11,23 +11,23 @@ import json
 
 import pytest
 
-from repro.dataflows.registry import DATAFLOWS
-from repro.engine import EngineConfig, EvaluationCache, EvaluationEngine
+from repro.api import Session
+from repro.dataflows.registry import DATAFLOWS, equal_area_hardware
+from repro.nn.layer import LayerShape
 from repro.nn.networks import alexnet_conv_layers
+from repro.registry import get_design_space
 from repro.service import (
     BatchDispatcher,
     BatchRequest,
-    equal_area_hardware,
-    expand_request,
     parse_requests,
     serve,
 )
-from repro.service.schema import layer_from_dict, layer_to_dict
 from repro.service.schema import DseRequest, QueryRequest
 
 
-def serial_engine() -> EvaluationEngine:
-    return EvaluationEngine(EngineConfig(parallel=False), EvaluationCache())
+def serial_session() -> Session:
+    """A serial session with its own (cold) cache."""
+    return Session(parallel=False)
 
 
 def tiny_request(**overrides) -> BatchRequest:
@@ -42,22 +42,22 @@ class TestSchema:
         request = tiny_request(dataflows=["rs", "ws"], pe_counts=[64, 256])
         again = BatchRequest.from_dict(request.to_dict())
         assert again == request
-        assert again.dataflows == ("RS", "WS")  # normalized upper-case
+        assert again.scenario.dataflows == ("RS", "WS")  # upper-cased
 
     def test_defaults_to_all_dataflows(self):
         request = BatchRequest.from_dict({"network": "alexnet-conv"})
-        assert request.dataflows == tuple(DATAFLOWS)
-        assert request.pe_counts == (256,)
+        assert request.scenario.dataflows == tuple(DATAFLOWS)
+        assert request.scenario.pe_counts == (256,)
 
     def test_explicit_layers_round_trip(self):
-        layers = [layer_to_dict(l) for l in alexnet_conv_layers(2)]
+        layers = [l.to_dict() for l in alexnet_conv_layers(2)]
         request = BatchRequest.from_dict(
             {"layers": layers, "dataflows": ["RS"]})
-        assert request.resolved_layers == tuple(alexnet_conv_layers(2))
+        assert request.scenario.workload == tuple(alexnet_conv_layers(2))
         assert BatchRequest.from_dict(request.to_dict()) == request
 
     def test_layer_e_derived_from_eq1(self):
-        layer = layer_from_dict(
+        layer = LayerShape.from_dict(
             {"name": "L", "H": 15, "R": 3, "C": 4, "M": 8})
         assert layer.E == 13
 
@@ -76,7 +76,7 @@ class TestSchema:
         ({"network": "alexnet", "pe_counts": [1.5]}, "list of integers"),
         ({"network": "alexnet", "rf_choices": "512"}, "list of integers"),
         ({"network": "alexnet", "batch": 0}, "batch"),
-        ({"network": "alexnet", "typo": 1}, "unknown request field"),
+        ({"network": "alexnet", "typo": 1}, "unknown scenario field"),
         ({"layers": []}, "non-empty list"),
         ({"layers": [{"name": "x", "H": 5}]}, "missing field"),
         ({"layers": [{"name": "x", "H": 5, "R": 3, "C": 1, "M": 1,
@@ -90,8 +90,8 @@ class TestSchema:
         request = BatchRequest.from_dict(
             {"network": "alexnet-conv", "pe_counts": 256,
              "rf_choices": 512, "dataflows": ["RS"]})
-        assert request.pe_counts == (256,)
-        assert request.rf_choices == (512,)
+        assert request.scenario.pe_counts == (256,)
+        assert request.scenario.rf_choices == (512,)
 
     def test_parse_requests_single_and_list(self):
         single = parse_requests({"network": "alexnet-conv"})
@@ -108,13 +108,13 @@ class TestSchema:
 class TestExpansion:
     def test_default_rf_is_equal_area_per_dataflow(self):
         request = tiny_request(dataflows=["RS", "WS"])
-        cells = expand_request(request)
+        cells = request.scenario.cells()
         assert [c.rf_bytes_per_pe for c in cells] == [
             DATAFLOWS["RS"].rf_bytes_per_pe, DATAFLOWS["WS"].rf_bytes_per_pe]
 
     def test_explicit_rf_grid(self):
         request = tiny_request(rf_choices=[256, 512], pe_counts=[64, 256])
-        cells = expand_request(request)
+        cells = request.scenario.cells()
         assert len(cells) == 4
         assert {(c.num_pes, c.rf_bytes_per_pe) for c in cells} == {
             (64, 256), (64, 512), (256, 256), (256, 512)}
@@ -122,12 +122,13 @@ class TestExpansion:
     def test_oversized_rf_points_pruned(self):
         # 16 kB of RF per PE at 1024 PEs blows the Eq. (2) budget.
         request = tiny_request(rf_choices=[512, 16384], pe_counts=[1024])
-        assert [c.rf_bytes_per_pe for c in expand_request(request)] == [512]
+        assert [c.rf_bytes_per_pe
+                for c in request.scenario.cells()] == [512]
 
     def test_empty_expansion_is_an_error(self):
         with pytest.raises(ValueError, match="no valid hardware point"):
-            expand_request(tiny_request(rf_choices=[16384],
-                                        pe_counts=[1024]))
+            tiny_request(rf_choices=[16384],
+                         pe_counts=[1024]).scenario.cells()
 
     def test_equal_area_hardware_default_rf(self):
         hw = equal_area_hardware("RS", 256)
@@ -136,9 +137,8 @@ class TestExpansion:
 
 class TestDispatcher:
     def test_matches_direct_engine_evaluation(self):
-        engine = serial_engine()
-        result = BatchDispatcher(engine).run(tiny_request())
-        direct = serial_engine().evaluate_network(
+        result = BatchDispatcher(serial_session()).run(tiny_request())
+        direct = serial_session().engine.evaluate_network(
             DATAFLOWS["RS"], alexnet_conv_layers(1),
             equal_area_hardware("RS", 256))
         cell = result.cells[0]
@@ -148,7 +148,7 @@ class TestDispatcher:
         assert cell.dram_accesses_per_op == direct.dram_accesses_per_op
 
     def test_cache_delta_reporting(self):
-        dispatcher = BatchDispatcher(serial_engine())
+        dispatcher = BatchDispatcher(serial_session())
         first = dispatcher.run(tiny_request())
         second = dispatcher.run(tiny_request())
         layers = len(alexnet_conv_layers(1))
@@ -158,21 +158,21 @@ class TestDispatcher:
         assert second.elapsed_s <= first.elapsed_s
 
     def test_duplicate_cells_deduplicated(self):
-        engine = serial_engine()
+        session = serial_session()
         request = tiny_request(dataflows=["RS", "RS"])
-        result = BatchDispatcher(engine).run(request)
+        result = BatchDispatcher(session).run(request)
         assert len(result.cells) == 2
         # Both cells answered, but each layer was optimized exactly once.
-        assert engine.cache.stats.misses == len(alexnet_conv_layers(1))
+        assert session.cache.stats.misses == len(alexnet_conv_layers(1))
 
-    def test_run_many_shares_the_cache(self):
-        dispatcher = BatchDispatcher(serial_engine())
-        results = dispatcher.run_many(parse_requests(
-            [tiny_request().to_dict(), tiny_request().to_dict()]))
+    def test_later_requests_share_the_cache(self):
+        dispatcher = BatchDispatcher(serial_session())
+        results = [dispatcher.run(request) for request in parse_requests(
+            [tiny_request().to_dict(), tiny_request().to_dict()])]
         assert results[1].cache.hit_rate == 1.0
 
     def test_result_to_dict_shape(self):
-        result = BatchDispatcher(serial_engine()).run(tiny_request())
+        result = BatchDispatcher(serial_session()).run(tiny_request())
         data = result.to_dict()
         assert data["id"] == "t"
         assert data["feasible_cells"] == 1
@@ -182,10 +182,10 @@ class TestDispatcher:
 
 
 class TestServeLoop:
-    def run_serve(self, lines, engine=None):
+    def run_serve(self, lines, session=None):
         output = io.StringIO()
         served = serve(io.StringIO("\n".join(lines) + "\n"), output,
-                       BatchDispatcher(engine or serial_engine()))
+                       BatchDispatcher(session or serial_session()))
         responses = [json.loads(line)
                      for line in output.getvalue().splitlines()]
         return served, responses
@@ -226,10 +226,10 @@ class TestServeLoop:
 class TestServeHardening:
     """Error paths of the serve loop: answer, never die (PR 8)."""
 
-    def run_serve(self, lines, engine=None, **kwargs):
+    def run_serve(self, lines, session=None, **kwargs):
         output = io.StringIO()
         served = serve(io.StringIO("\n".join(lines) + "\n"), output,
-                       BatchDispatcher(engine or serial_engine()), **kwargs)
+                       BatchDispatcher(session or serial_session()), **kwargs)
         responses = [json.loads(line)
                      for line in output.getvalue().splitlines()]
         return served, responses
@@ -299,13 +299,11 @@ class TestServeHardening:
                        for key, value in cell.items())
 
     def test_evaluate_verb_matches_batch_verb_bit_identically(self):
-        engine = serial_engine()
         spec = tiny_request(pe_counts=[64, 256]).to_dict()
         _, batch_responses = self.run_serve(
-            [json.dumps(dict(spec, verb="batch"))], engine=engine)
+            [json.dumps(dict(spec, verb="batch"))])
         _, stream_responses = self.run_serve(
-            [json.dumps(dict(spec, verb="evaluate"))],
-            engine=serial_engine())
+            [json.dumps(dict(spec, verb="evaluate"))])
         final = {k: v for k, v in stream_responses[-1].items()
                  if k not in ("event", "verb", "elapsed_s", "cache")}
         plain = {k: v for k, v in batch_responses[0].items()
@@ -347,11 +345,11 @@ class TestDseVerb:
         assert rebuilt.space == request.space
         assert rebuilt.request_id == "d1"
 
-    def test_registered_space_round_trips_by_name(self):
+    def test_registered_space_round_trips_inline(self):
         request = DseRequest.from_dict(
             {"verb": "dse", "space": "equal-area-grid"})
-        assert request.space_name == "equal-area-grid"
-        assert request.to_dict()["space"] == "equal-area-grid"
+        assert request.space == get_design_space("equal-area-grid")
+        assert "space" not in request.to_dict()
         assert DseRequest.from_dict(request.to_dict()).space == request.space
 
     def test_space_and_inline_fields_conflict(self):
@@ -360,7 +358,7 @@ class TestDseVerb:
                                   "pe_counts": [16]})
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown dse request field"):
+        with pytest.raises(ValueError, match="unknown design-space field"):
             DseRequest.from_dict(dict(TINY_DSE, pes=[16]))
 
     def test_unknown_space_rejected_with_menu(self):
@@ -384,13 +382,13 @@ class TestDseVerb:
             DseRequest.from_dict(dict(TINY_DSE, **{field: value}))
 
     def test_wrong_typed_layer_field_becomes_value_error(self):
-        # int(None) inside layer_from_dict must not leak a TypeError
-        # past the serve loop's error handling -- on either verb.
+        # A null shape field must not leak a TypeError past the serve
+        # loop's error handling -- on either verb.
         bad_layer = [{"name": "T", "H": None, "R": 3, "C": 4, "M": 8}]
-        with pytest.raises(ValueError, match="malformed layer"):
+        with pytest.raises(ValueError, match="'H' must be an integer"):
             DseRequest.from_dict({"verb": "dse", "layers": bad_layer,
                                   "pe_counts": [16]})
-        with pytest.raises(ValueError, match="malformed layer"):
+        with pytest.raises(ValueError, match="'H' must be an integer"):
             BatchRequest.from_dict({"layers": bad_layer})
 
     def test_wrong_typed_batch_request_fields_become_value_errors(self):
@@ -408,7 +406,7 @@ class TestDseVerb:
             json.dumps(tiny_request().to_dict()),
         ]) + "\n"
         served = serve(io.StringIO(lines), output,
-                       BatchDispatcher(serial_engine()))
+                       BatchDispatcher(serial_session()))
         responses = [json.loads(line)
                      for line in output.getvalue().splitlines()]
         assert served == 1
@@ -416,7 +414,7 @@ class TestDseVerb:
         assert responses[1]["feasible_cells"] == 1
 
     def test_dispatcher_runs_dse(self):
-        dispatcher = BatchDispatcher(serial_engine())
+        dispatcher = BatchDispatcher(serial_session())
         result = dispatcher.run_dse(DseRequest.from_dict(TINY_DSE))
         payload = result.to_dict()
         assert payload["verb"] == "dse"
@@ -425,7 +423,7 @@ class TestDseVerb:
         assert payload["cache"]["misses"] > 0
 
     def test_dse_and_batch_share_the_session_cache(self):
-        dispatcher = BatchDispatcher(serial_engine())
+        dispatcher = BatchDispatcher(serial_session())
         dispatcher.run_dse(DseRequest.from_dict(TINY_DSE))
         again = dispatcher.run_dse(DseRequest.from_dict(TINY_DSE))
         assert again.cache.misses == 0
@@ -439,7 +437,7 @@ class TestDseVerb:
             json.dumps({"verb": "launch-missiles"}),
         ]) + "\n"
         served = serve(io.StringIO(lines), output,
-                       BatchDispatcher(serial_engine()))
+                       BatchDispatcher(serial_session()))
         responses = [json.loads(line)
                      for line in output.getvalue().splitlines()]
         assert served == 2
@@ -450,7 +448,7 @@ class TestDseVerb:
     def test_include_dominated_expands_the_front_payload(self):
         spec = dict(TINY_DSE, rf_choices=[64, 128],
                     include_dominated=True)
-        dispatcher = BatchDispatcher(serial_engine())
+        dispatcher = BatchDispatcher(serial_session())
         result = dispatcher.run_dse(DseRequest.from_dict(spec))
         payload = result.to_dict()
         assert len(payload["front"]) == payload["candidates"]
@@ -486,7 +484,7 @@ class TestDseVerb:
                     glb_choices=[8192, 16384], stream=True, chunk=2)
         output = io.StringIO()
         served = serve(io.StringIO(json.dumps(spec) + "\n"), output,
-                       BatchDispatcher(serial_engine()))
+                       BatchDispatcher(serial_session()))
         lines = [json.loads(line)
                  for line in output.getvalue().splitlines()]
         assert served == 1
@@ -499,9 +497,9 @@ class TestDseVerb:
 
     def test_streamed_result_matches_the_unstreamed_verb(self):
         spec = dict(TINY_DSE, rf_choices=[64, 128])
-        plain = BatchDispatcher(serial_engine()).run_dse(
+        plain = BatchDispatcher(serial_session()).run_dse(
             DseRequest.from_dict(spec)).to_dict()
-        streamed_events = list(BatchDispatcher(serial_engine()).stream_dse(
+        streamed_events = list(BatchDispatcher(serial_session()).stream_dse(
             DseRequest.from_dict(dict(spec, stream=True))))
         result = streamed_events[-1]
         assert result["event"] == "result"
@@ -534,7 +532,7 @@ class TestQueryVerb:
 
     def test_query_needs_a_store(self):
         with pytest.raises(ValueError, match="experiment store"):
-            BatchDispatcher(serial_engine()).run_query(
+            BatchDispatcher(serial_session()).run_query(
                 QueryRequest.from_dict({"verb": "query"}))
 
     def test_serve_query_round_trips_recorded_cells(self, tmp_path):
