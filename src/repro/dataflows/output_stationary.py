@@ -68,7 +68,8 @@ class _OutputStationaryBase(Dataflow):
     """Shared scenario machinery of the three OS variants.
 
     Subclasses define the array-level geometry by implementing
-    :meth:`_configurations`, yielding tuples of::
+    :meth:`_configuration`, which builds one configuration tuple from
+    its tiling parameters (the keys of its ``params`` dict)::
 
         (params, active_pes, if_c, images_in_flight, filters_in_flight,
          pixel_rounds, ifmap_window_words, dram_conv_overlap)
@@ -77,10 +78,17 @@ class _OutputStationaryBase(Dataflow):
     ``pixel_rounds`` the number of pixel/batch rounds a full plane sweep
     takes, ``ifmap_window_words`` the ifmap staging set of one round, and
     ``dram_conv_overlap`` any convolutional reuse the variant cannot
-    exploit on chip (> 1 only for OSC).
+    exploit on chip (> 1 only for OSC); and :meth:`_configurations`,
+    which walks the variant's tiling choices in enumeration order and
+    yields their tuples.  The winner rebuild calls
+    :meth:`_configuration` with the row's parameters directly instead
+    of walking the enumeration to find it.
     """
 
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
+        raise NotImplementedError
+
+    def _configuration(self, layer: LayerShape, **params):
         raise NotImplementedError
 
     def enumerate_dense(self, layer: LayerShape,
@@ -90,8 +98,13 @@ class _OutputStationaryBase(Dataflow):
             yield from self._config_candidates(layer, hw, cfg)
 
     def _config_candidates(self, layer: LayerShape, hw: HardwareConfig,
-                           cfg) -> Iterator[Mapping]:
-        """The feasible residency scenarios of one array configuration."""
+                           cfg, only: Optional[str] = None
+                           ) -> Iterator[Mapping]:
+        """The feasible residency scenarios of one array configuration.
+
+        ``only`` (a scenario label) restricts the output to that one
+        scenario, for the winner rebuild of the vectorized search.
+        """
         n, m, c = layer.N, layer.M, layer.C
         r = layer.R
         (params, active, if_c, i_f, m_if, rounds, window,
@@ -118,7 +131,7 @@ class _OutputStationaryBase(Dataflow):
         all_resident = BufferBudget(hw.buffer_words,
                                     filter_words=m * c * r * r,
                                     ifmap_words=window)
-        if all_resident.fits:
+        if only in (None, _SCENARIOS[0]) and all_resident.fits:
             yield self._mapping(
                 layer, psum, active,
                 if_a=dram_overlap, if_b=if_residual, if_c=if_c,
@@ -133,7 +146,7 @@ class _OutputStationaryBase(Dataflow):
                              filter_words=m_if * c * r * r,
                              ifmap_words=window)
         rest = if_residual / chunk_reuse
-        if chunk.fits and rest >= _EPS:
+        if only in (None, _SCENARIOS[1]) and chunk.fits and rest >= _EPS:
             yield self._mapping(
                 layer, psum, active,
                 if_a=dram_overlap * chunk_reuse, if_b=rest, if_c=if_c,
@@ -147,7 +160,8 @@ class _OutputStationaryBase(Dataflow):
         stream = BufferBudget(hw.buffer_words,
                               filter_words=m_if * r * r,
                               ifmap_words=window)
-        if stream.fits and rounds >= 1.0 - _EPS:
+        if (only in (None, _SCENARIOS[2]) and stream.fits
+                and rounds >= 1.0 - _EPS):
             yield self._mapping(
                 layer, psum, active,
                 if_a=dram_overlap, if_b=if_residual, if_c=if_c,
@@ -164,11 +178,13 @@ class _OutputStationaryBase(Dataflow):
         Mirrors :meth:`enumerate_dense`: the variant's
         :meth:`_configurations` generator drives the row order (it is
         cheap -- at most a few dozen configs), and the three
-        buffer-residency scenarios of every config are scored as
-        interleaved column triples with the same feasibility predicates
-        as :meth:`_config_candidates`.  The OS models keep only psum
-        accumulators in the RF and never test its size, so rows need no
-        RF words; each row reports its scenario's buffer words.
+        buffer-residency scenarios of every config are expanded into
+        rows (:class:`~repro.kernels.ScenarioExpansion`) with the same
+        feasibility predicates as :meth:`_config_candidates`; the
+        config parameters stay one entry per config.  The OS models
+        keep only psum accumulators in the RF and never test its size,
+        so rows need no RF words; each row reports its scenario's buffer
+        words.
         """
         cfgs = list(self._configurations(layer, hw))
         if not cfgs:
@@ -195,8 +211,7 @@ class _OutputStationaryBase(Dataflow):
         rest = if_residual / chunk_reuse
 
         cap = hw.buffer_words
-        count = active.shape[0]
-        ones = np.ones(count, dtype=np.float64)
+        ones = np.ones(active.shape[0], dtype=np.float64)
         # Scenario columns in _config_candidates order: (buffer words,
         # capacity-free mask, if_a, if_b, w_a, w_b).
         scenarios = (
@@ -216,33 +231,36 @@ class _OutputStationaryBase(Dataflow):
         w_a = rows.select([s[4] for s in scenarios])
         w_b = rows.select([s[5] for s in scenarios])
 
-        accum = np.full(count, float(layer.psum_accumulations))
-        params = {key: rows.repeat(col) for key, col in pcols.items()}
-        params["scenario"] = rows.scenario_index()
+        # Scenario-invariant constants: built at row length directly.
+        row_ones = np.ones(len(rows), dtype=np.float64)
+        accum = np.full(len(rows), float(layer.psum_accumulations))
         return CandidateArrays(
-            ifmap=(if_a, if_b, rows.repeat(if_c), rows.repeat(ones)),
-            filter=(w_a, w_b, rows.repeat(w_c), rows.repeat(ones)),
-            psum=(rows.repeat(ones), rows.repeat(ones), rows.repeat(ones),
-                  rows.repeat(accum)),
+            ifmap=(if_a, if_b, rows.repeat(if_c), row_ones),
+            filter=(w_a, w_b, rows.repeat(w_c), row_ones),
+            psum=(row_ones, row_ones, row_ones, accum),
             active_pes=rows.repeat(active),
-            params=params,
+            params=pcols,
+            fold=rows.fold,
+            scenario=rows.scenario,
             requirements=lambda: (
-                np.zeros(if_a.shape[0], dtype=np.int64),
+                np.zeros(len(rows), dtype=np.int64),
                 rows.select([s[0] for s in scenarios])),
         )
 
     def rebuild_dense(self, layer: LayerShape, hw: HardwareConfig,
                       params: Dict[str, int]) -> Mapping:
-        """Materialize one candidate row through the scalar builder."""
+        """Materialize one candidate row through the scalar builder.
+
+        The row's configuration is rebuilt from its parameters
+        (:meth:`_configuration`) and only the row's own scenario of it
+        is built (:meth:`_config_candidates` with ``only``).
+        """
         label = _SCENARIOS[params["scenario"]]
-        wanted = {key: value for key, value in params.items()
-                  if key != "scenario"}
-        for cfg in self._configurations(layer, hw):
-            if dict(cfg[0]) != wanted:
-                continue
-            for mapping in self._config_candidates(layer, hw, cfg):
-                if mapping.params["scenario"] == label:
-                    return mapping
+        cfg = self._configuration(layer, **{
+            key: value for key, value in params.items()
+            if key != "scenario"})
+        for mapping in self._config_candidates(layer, hw, cfg, only=label):
+            return mapping
         raise LookupError(
             f"{self.name} candidate {params} did not rebuild; the "
             f"vectorized feasibility mask and the scalar builder disagree")
@@ -278,21 +296,25 @@ class OutputStationaryA(_OutputStationaryBase):
                    "2D convolutional reuse in the array (Fig. 3a)")
 
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
+        e, n = layer.E, layer.N
+        for t_h in thin_candidates(divisors_up_to(e, hw.array_h), limit=4):
+            for t_w in thin_candidates(divisors_up_to(e, hw.array_w), limit=4):
+                room = hw.num_pes // (t_h * t_w)
+                for i_f in thin_candidates(divisors_up_to(n, room), limit=4):
+                    yield self._configuration(layer, t_h, t_w, i_f)
+
+    def _configuration(self, layer: LayerShape, t_h: int, t_w: int,
+                       i_f: int):
         e, n, c, r, h, u = (layer.E, layer.N, layer.C, layer.R, layer.H,
                             layer.U)
         r_span = layer.R_eff  # staged window extent per axis when dilated
         conv_2d = max(1.0, r * r * e * e / (h * h))
-        for t_h in thin_candidates(divisors_up_to(e, hw.array_h), limit=4):
-            for t_w in thin_candidates(divisors_up_to(e, hw.array_w), limit=4):
-                tile = t_h * t_w
-                room = hw.num_pes // tile
-                for i_f in thin_candidates(divisors_up_to(n, room), limit=4):
-                    window = (i_f * c * ((t_h - 1) * u + r_span)
-                              * ((t_w - 1) * u + r_span))
-                    rounds = (e * e / tile) * (n / i_f)
-                    params = {"t_h": t_h, "t_w": t_w, "i_f": i_f}
-                    yield (params, tile * i_f, conv_2d, i_f, 1, rounds,
-                           window, 1.0)
+        tile = t_h * t_w
+        window = (i_f * c * ((t_h - 1) * u + r_span)
+                  * ((t_w - 1) * u + r_span))
+        rounds = (e * e / tile) * (n / i_f)
+        params = {"t_h": t_h, "t_w": t_w, "i_f": i_f}
+        return (params, tile * i_f, conv_2d, i_f, 1, rounds, window, 1.0)
 
 
 class OutputStationaryB(_OutputStationaryBase):
@@ -305,21 +327,25 @@ class OutputStationaryB(_OutputStationaryBase):
                    "1D conv + ifmap reuse in the array (Fig. 3b)")
 
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
-        e, n, m, c, r, h, u = (layer.E, layer.N, layer.M, layer.C, layer.R,
-                               layer.H, layer.U)
-        r_span = layer.R_eff  # staged window extent per axis when dilated
+        e, n, m = layer.E, layer.N, layer.M
         for m_a in thin_candidates(divisors_up_to(m, hw.num_pes), limit=6):
             pix_room = hw.num_pes // m_a
             for t_w in thin_candidates(divisors_up_to(e, pix_room), limit=4):
-                conv_1d = max(1.0, r * e / h) if t_w > 1 else 1.0
-                if_c = m_a * conv_1d
                 room = pix_room // t_w
                 for i_f in thin_candidates(divisors_up_to(n, room), limit=4):
-                    window = i_f * c * r_span * ((t_w - 1) * u + r_span)
-                    rounds = (e * e / t_w) * (n / i_f)
-                    params = {"m_a": m_a, "t_w": t_w, "i_f": i_f}
-                    yield (params, m_a * t_w * i_f, if_c, i_f, m_a, rounds,
-                           window, 1.0)
+                    yield self._configuration(layer, m_a, t_w, i_f)
+
+    def _configuration(self, layer: LayerShape, m_a: int, t_w: int,
+                       i_f: int):
+        e, n, c, r, h, u = (layer.E, layer.N, layer.C, layer.R, layer.H,
+                            layer.U)
+        r_span = layer.R_eff  # staged window extent per axis when dilated
+        conv_1d = max(1.0, r * e / h) if t_w > 1 else 1.0
+        window = i_f * c * r_span * ((t_w - 1) * u + r_span)
+        rounds = (e * e / t_w) * (n / i_f)
+        params = {"m_a": m_a, "t_w": t_w, "i_f": i_f}
+        return (params, m_a * t_w * i_f, m_a * conv_1d, i_f, m_a, rounds,
+                window, 1.0)
 
 
 class OutputStationaryC(_OutputStationaryBase):
@@ -332,18 +358,21 @@ class OutputStationaryC(_OutputStationaryBase):
                    "ifmap reuse in the array only (Fig. 3c)")
 
     def _configurations(self, layer: LayerShape, hw: HardwareConfig):
-        e, n, m, c, r, h = (layer.E, layer.N, layer.M, layer.C, layer.R,
-                            layer.H)
-        # The convolutional window overlap cannot be exploited on chip
-        # (Table III); it is spent at DRAM.
-        conv_overlap = max(1.0, r * r * e * e / (h * h))
+        n, m = layer.N, layer.M
         for m_a in thin_candidates(divisors_up_to(m, hw.num_pes), limit=6):
             room = hw.num_pes // m_a
             for n_a in thin_candidates(divisors_up_to(n, room), limit=4):
-                # Tap-based: one pixel's R^2 taps are gathered, so the
-                # staging set does not grow with dilation.
-                window = n_a * c * r * r
-                rounds = (e * e) * (n / n_a)
-                params = {"m_a": m_a, "n_a": n_a}
-                yield (params, m_a * n_a, float(m_a), n_a, m_a, rounds,
-                       window, conv_overlap)
+                yield self._configuration(layer, m_a, n_a)
+
+    def _configuration(self, layer: LayerShape, m_a: int, n_a: int):
+        e, n, c, r, h = layer.E, layer.N, layer.C, layer.R, layer.H
+        # The convolutional window overlap cannot be exploited on chip
+        # (Table III); it is spent at DRAM.
+        conv_overlap = max(1.0, r * r * e * e / (h * h))
+        # Tap-based: one pixel's R^2 taps are gathered, so the staging
+        # set does not grow with dilation.
+        window = n_a * c * r * r
+        rounds = (e * e) * (n / n_a)
+        params = {"m_a": m_a, "n_a": n_a}
+        return (params, m_a * n_a, float(m_a), n_a, m_a, rounds, window,
+                conv_overlap)

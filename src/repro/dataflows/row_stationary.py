@@ -164,9 +164,12 @@ class RowStationary(Dataflow):
         fold batch in NumPy.  Rows are ordered fold-major with the
         scenario innermost, exactly the scalar yield order, and
         infeasible rows (RF overflow, PE overflow, vanished residual
-        reuse, budget misses) are dropped by the same predicates.  Each
-        row also reports its fold's RF words and its scenario's buffer
-        words, the two quantities those predicates test.
+        reuse, budget misses) are dropped by the same predicates.  The
+        block is fold-form: the seven tiling parameters stay one entry
+        per fold, reached through the row -> fold index, and each row
+        carries its scenario id.  Each row also reports its fold's RF
+        words and its scenario's buffer words, the two quantities those
+        predicates test.
         """
         array_h, array_w, r_eff, v_fold = self._geometry(layer, hw)
 
@@ -236,8 +239,7 @@ class RowStationary(Dataflow):
         filter_all = m * c * r * r
         cap = hw.buffer_words
 
-        count = active.shape[0]
-        ones = np.ones(count, dtype=np.float64)
+        ones = np.ones(active.shape[0], dtype=np.float64)
         # Scenario columns in _build_mappings order: (buffer words,
         # if_a, if_b, filt_a, filt_b) -- the (c, d) factors and the psum
         # split are shared by all four scenarios of a fold.
@@ -262,16 +264,13 @@ class RowStationary(Dataflow):
         return CandidateArrays(
             ifmap=(if_a, if_b, rows.repeat(if_c), rows.repeat(if_d)),
             filter=(w_a, w_b, rows.repeat(filt_c), rows.repeat(filt_d)),
-            psum=(rows.repeat(ones), rows.repeat(ps_b), rows.repeat(ps_c),
-                  rows.repeat(ps_d)),
+            psum=(np.ones(len(rows), dtype=np.float64), rows.repeat(ps_b),
+                  rows.repeat(ps_c), rows.repeat(ps_d)),
             active_pes=rows.repeat(active),
-            params={
-                "e": rows.repeat(e_col), "n_s": rows.repeat(ns),
-                "m_s": rows.repeat(ms), "c_s": rows.repeat(cs),
-                "n_r": rows.repeat(nr), "m_r": rows.repeat(mr),
-                "c_r": rows.repeat(cr),
-                "scenario": rows.scenario_index(),
-            },
+            params={"e": e_col, "n_s": ns, "m_s": ms, "c_s": cs,
+                    "n_r": nr, "m_r": mr, "c_r": cr},
+            fold=rows.fold,
+            scenario=rows.scenario,
             requirements=lambda: (
                 rows.repeat(_fold_rf_words(r, v_fold, nr, mr, cr)),
                 rows.select([s[0] for s in scenarios])),
@@ -282,18 +281,19 @@ class RowStationary(Dataflow):
         """Materialize one candidate row through the scalar builder.
 
         ``params`` is a :meth:`CandidateArrays.row_params` row; routing
-        it back through :meth:`_build_mappings` guarantees the returned
-        :class:`Mapping` is field-for-field the object the scalar search
-        would have produced.
+        it back through :meth:`_build_mappings`, restricted to the row's
+        scenario, guarantees the returned :class:`Mapping` is
+        field-for-field the object the scalar search would have
+        produced, without building the fold's other scenarios.
         """
         _array_h, _array_w, r_eff, v_fold = self._geometry(layer, hw)
         label = _SCENARIOS[params["scenario"]]
         for mapping in self._build_mappings(
                 layer, hw, params["e"], r_eff, v_fold,
                 params["n_s"], params["m_s"], params["c_s"],
-                params["n_r"], params["m_r"], params["c_r"]):
-            if mapping.params["scenario"] == label:
-                return mapping
+                params["n_r"], params["m_r"], params["c_r"],
+                only=label):
+            return mapping
         raise LookupError(
             f"RS candidate {params} did not rebuild; the vectorized "
             f"feasibility mask and the scalar builder disagree")
@@ -338,8 +338,12 @@ class RowStationary(Dataflow):
     def _build_mappings(self, layer: LayerShape, hw: HardwareConfig, e: int,
                         r_eff: int, v_fold: int,
                         n_s: int, m_s: int, c_s: int,
-                        n_r: int, m_r: int, c_r: int) -> Iterator[Mapping]:
+                        n_r: int, m_r: int, c_r: int,
+                        only: Optional[str] = None) -> Iterator[Mapping]:
         """Yield the feasible pass-order scenarios for one fold choice.
+
+        ``only`` (a scenario label) restricts the output to that one
+        scenario, for the winner rebuild of the vectorized search.
 
         Three loop orders for the second-phase folding are modelled; all
         keep the channel-chunk loop innermost so psums never leave the
@@ -437,7 +441,7 @@ class RowStationary(Dataflow):
              if_chunk_reuse, if_rest, filt_pass_reuse, 1.0),
         )
         for label, budget, if_a, if_b, filt_a, filt_b in scenarios:
-            if not budget.fits:
+            if (only is not None and label != only) or not budget.fits:
                 continue
             yield Mapping(
                 dataflow=self.name,

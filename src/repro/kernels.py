@@ -10,9 +10,15 @@ batch alternative:
 
 * Each dataflow emits its full candidate space as a
   :class:`CandidateArrays` block -- *structure of arrays*, one float64
-  column per reuse-split factor, one int64 column per tiling parameter
-  -- in exactly the order (and with exactly the feasibility filters) of
-  its scalar ``enumerate_mappings`` generator.
+  column per reuse-split factor -- in exactly the order (and with
+  exactly the feasibility filters) of its scalar ``enumerate_mappings``
+  generator.  Blocks are *fold-form*: the int64 tiling-parameter
+  columns hold one entry per fold (tiling choice) and each row reaches
+  its fold through a row -> fold index, because only the winner's
+  parameters are ever read.  :class:`ScenarioExpansion` turns the
+  per-fold columns of the dataflows whose folds branch into
+  buffer-residency scenarios (RS, the OS family) into rows with one
+  integer gather per column.
 * :func:`score_candidates` computes the objective of the *whole batch*
   in a handful of NumPy ops, reusing the vectorized Eq. (3)/(4) math of
   :mod:`repro.mapping.reuse`.
@@ -21,8 +27,9 @@ batch alternative:
   :class:`~repro.engine.reducer.StreamingBest`.
 
 Only the argmin winner is ever materialized as a ``Mapping`` (via the
-dataflow's ``rebuild_mapping``), so everything downstream -- the energy
-breakdown, ``MappingSearchResult``, caches, figures -- is untouched.
+dataflow's ``rebuild_mapping``, which builds only the winning row's
+scenario), so everything downstream -- the energy breakdown,
+``MappingSearchResult``, caches, figures -- is untouched.
 
 Blocks can also report each row's capacity requirement (RF words per
 PE, buffer words; computed on demand by ``requirements``).  Capacity
@@ -39,6 +46,9 @@ expression trees here replicate the scalar association order term for
 term, so the winning mapping *and* its objective score match the scalar
 search to the last bit (``tests/test_kernels.py`` pins this across all
 six dataflows x AlexNet/VGG16/ResNet-18 x a randomized hardware grid).
+The expansions only gather values, never recompute them; the every-row
+rebuild oracle of ``tests/parity.py`` checks that every row, not just
+the winner, rebuilds to the scalar generator's mapping.
 
 The kernel handles the three built-in objectives (``energy``, ``edp``,
 ``dram``); custom ``@register_objective`` callables take arbitrary
@@ -101,21 +111,37 @@ class CandidateArrays:
     tie-break rule is order-sensitive: among equal tie keys the first
     arrival wins).
 
+    The block is *fold-form*: the scoring columns hold one entry per
+    candidate row, but the tiling parameters -- read only for the one
+    winning row -- are stored once per *fold* (one tiling choice; for RS
+    and the OS family each fold branches into several buffer-residency
+    scenarios) and reached through a row -> fold index.
+
     Attributes
     ----------
     ifmap, filter, psum:
         ``(a, b, c, d)`` reuse-split columns per data type, float64,
         one entry per candidate.  Together with the layer's unique-value
-        counts these are everything Eqs. (3)/(4) need.
+        counts these are everything Eqs. (3)/(4) need.  Slots may share
+        one array (e.g. a constant ``ones`` column); treat them as
+        read-only.
     active_pes:
         Active-PE column (int64); the optimizer's tie-break key and the
         EDP delay denominator.
     params:
-        Per-candidate tiling parameters (int64 columns keyed by name,
-        e.g. ``e, n_s, ..., scenario``), enough for the owning dataflow's
-        ``rebuild_mapping`` to re-materialize any row as a full
-        :class:`~repro.mapping.mapping.Mapping` through its scalar
-        builder.
+        Per-fold tiling parameters (int64 columns keyed by name, e.g.
+        ``e, n_s, ..., c_r``), enough, together with the row's scenario,
+        for the owning dataflow's ``rebuild_mapping`` to re-materialize
+        any row as a full :class:`~repro.mapping.mapping.Mapping`
+        through its scalar builder.
+    fold:
+        The row -> fold index (int64, one entry per row) into the
+        ``params`` columns; None when ``params`` already hold one entry
+        per row (the dataflows without residency scenarios).
+    scenario:
+        The per-row buffer-residency scenario id (int64, an index into
+        the dataflow's scenario tuple), or None for dataflows without
+        scenarios.
     requirements:
         A callable returning the per-candidate capacity requirement as
         two int64 columns ``(rf_words, buffer_words)``: the
@@ -134,15 +160,33 @@ class CandidateArrays:
     psum: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     active_pes: np.ndarray
     params: Dict[str, np.ndarray] = field(default_factory=dict)
+    fold: Optional[np.ndarray] = None
+    scenario: Optional[np.ndarray] = None
     requirements: Optional[
         Callable[[], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __len__(self) -> int:
         return int(self.active_pes.shape[0])
 
+    def _folds(self) -> int:
+        """The number of per-fold ``params`` entries."""
+        if self.fold is None:
+            return len(self)
+        for column in self.params.values():
+            return int(column.shape[0])
+        return 0
+
     def row_params(self, index: int) -> Dict[str, int]:
-        """The tiling parameters of one candidate row, as Python ints."""
-        return {name: int(col[index]) for name, col in self.params.items()}
+        """The tiling parameters of one candidate row, as Python ints.
+
+        Resolves the row's fold through :attr:`fold` and appends its
+        ``scenario`` id when the block has one.
+        """
+        at = index if self.fold is None else int(self.fold[index])
+        row = {name: int(col[at]) for name, col in self.params.items()}
+        if self.scenario is not None:
+            row["scenario"] = int(self.scenario[index])
+        return row
 
 
 def empty_candidates() -> CandidateArrays:
@@ -162,8 +206,10 @@ def concat_candidates(blocks) -> CandidateArrays:
     space; rows keep block order, matching the scalar generator's loop
     nesting (the tie-break is order-sensitive).  Zero-row blocks are
     dropped; with no surviving rows the empty block is returned.  All
-    non-empty blocks must share the same ``params`` keys (they come from
-    the same dataflow).
+    non-empty blocks must share the same ``params`` keys and the same
+    fold/scenario layout (they come from the same dataflow).  The
+    per-fold ``params`` are concatenated as they are, and each block's
+    row -> fold index is shifted by the folds of the blocks before it.
     """
     blocks = [block for block in blocks if len(block)]
     if not blocks:
@@ -173,6 +219,15 @@ def concat_candidates(blocks) -> CandidateArrays:
 
     def cat4(tuples):
         return tuple(np.concatenate(cols) for cols in zip(*tuples))
+
+    fold = None
+    if blocks[0].fold is not None:
+        offsets = np.cumsum([0] + [block._folds() for block in blocks[:-1]])
+        fold = np.concatenate([block.fold + offset
+                               for block, offset in zip(blocks, offsets)])
+    scenario = None
+    if blocks[0].scenario is not None:
+        scenario = np.concatenate([block.scenario for block in blocks])
 
     requirements = None
     if all(block.requirements is not None for block in blocks):
@@ -187,6 +242,8 @@ def concat_candidates(blocks) -> CandidateArrays:
         active_pes=np.concatenate([block.active_pes for block in blocks]),
         params={name: np.concatenate([block.params[name] for block in blocks])
                 for name in blocks[0].params},
+        fold=fold,
+        scenario=scenario,
         requirements=requirements,
     )
 
@@ -199,8 +256,8 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     per-value reuse factors (the scoring kernel already charges them
     against the *full* layer's unique-value counts, which are exact
     ``groups`` multiples of the per-group counts) and scales its
-    active-PE tie-break/delay column by ``g_p``, recorded in a ``g_p``
-    parameter column for winner reconstruction.
+    active-PE tie-break/delay column by ``g_p``, recorded in a per-fold
+    ``g_p`` parameter column for winner reconstruction.
 
     The buffer requirement is restated against the *full* buffer: each
     partition gets ``buffer_words // g_p`` words, and for an integer
@@ -209,7 +266,7 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     partitioned, so the RF requirement carries over unchanged.
     """
     params = dict(block.params)
-    params["g_p"] = np.full(len(block), g_p, dtype=np.int64)
+    params["g_p"] = np.full(block._folds(), g_p, dtype=np.int64)
     requirements = None
     if block.requirements is not None:
         def requirements():
@@ -218,18 +275,9 @@ def regroup_candidates(block: CandidateArrays, g_p: int) -> CandidateArrays:
     return CandidateArrays(ifmap=block.ifmap, filter=block.filter,
                            psum=block.psum,
                            active_pes=block.active_pes * g_p,
-                           params=params, requirements=requirements)
-
-
-def interleave(columns) -> np.ndarray:
-    """Merge per-scenario columns into one row-major candidate column.
-
-    Given K same-length columns (one per buffer-residency scenario of a
-    fold), returns the length ``K * F`` column in fold-major /
-    scenario-minor order -- the order the scalar generators yield
-    candidates in, which the tie-break depends on.
-    """
-    return np.stack(columns, axis=1).reshape(-1)
+                           params=params, fold=block.fold,
+                           scenario=block.scenario,
+                           requirements=requirements)
 
 
 class ScenarioExpansion:
@@ -243,30 +291,39 @@ class ScenarioExpansion:
     tie-break depends on -- so the enumerators cannot drift apart.
 
     Built from the K per-scenario feasibility masks (length-F bool
-    columns); exposes the three expansions the enumerators need.
+    columns).  The surviving rows are located once, as (fold, scenario)
+    pairs in fold-major / scenario-minor order; every expansion is then
+    one integer gather:
+
+    * :meth:`repeat` -- ``column[fold]`` for a scenario-invariant column
+      (what ``np.repeat(column, K)[keep]`` would compute);
+    * :meth:`select` -- the K per-scenario variants laid end to end and
+      gathered at ``scenario * F + fold``;
+    * :attr:`fold` / :attr:`scenario` -- the row -> fold index and the
+      per-row scenario id a fold-form :class:`CandidateArrays` carries.
     """
 
     def __init__(self, masks) -> None:
         self.scenarios = len(masks)
         self.folds = int(masks[0].shape[0])
-        self.keep = interleave(masks)
+        # Flat indices ``fold * K + scenario`` of the surviving rows, in
+        # fold-major / scenario-minor order (the scalar yield order).
+        flat = np.stack(masks, axis=1).ravel().nonzero()[0]
+        self.fold = flat // self.scenarios
+        self.scenario = flat - self.fold * self.scenarios
+        self._at = self.scenario * self.folds + self.fold
 
-    def __bool__(self) -> bool:
-        """Whether any candidate row survived the masks."""
-        return bool(self.keep.any())
+    def __len__(self) -> int:
+        """The number of surviving candidate rows (falsy when none)."""
+        return int(self.fold.shape[0])
 
     def select(self, columns) -> np.ndarray:
         """Expand K per-scenario column variants into candidate rows."""
-        return interleave(columns)[self.keep]
+        return np.concatenate(columns)[self._at]
 
     def repeat(self, column: np.ndarray) -> np.ndarray:
         """Expand one scenario-invariant per-fold column into rows."""
-        return np.repeat(column, self.scenarios)[self.keep]
-
-    def scenario_index(self) -> np.ndarray:
-        """The per-row scenario id (0..K-1), for winner reconstruction."""
-        return np.tile(np.arange(self.scenarios, dtype=np.int64),
-                       self.folds)[self.keep]
+        return column[self.fold]
 
 
 def _total_energy(block: CandidateArrays, layer: LayerShape,

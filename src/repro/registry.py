@@ -359,7 +359,7 @@ def design_space_names() -> List[str]:
 # whether they are built in Python, from CLI flags or from a wire
 # object.  An integer is an ``operator.index`` value that is not a
 # ``bool`` (numpy integers pass; floats and numeric strings do not); a
-# flag must be a real ``bool``.
+# flag must be a real ``bool``; a name must be a real ``str``.
 # ----------------------------------------------------------------------
 
 
@@ -423,6 +423,13 @@ def as_bool(value, what: str) -> bool:
     """``value`` if it is a ``bool``; ``ValueError`` otherwise."""
     if not isinstance(value, bool):
         raise ValueError(f"'{what}' must be true or false, got {value!r}")
+    return value
+
+
+def as_str(value, what: str) -> str:
+    """``value`` if it is a ``str``; ``ValueError`` otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"'{what}' must be a string, got {value!r}")
     return value
 
 

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.api import Result, Scenario
 from repro.dse import DesignSpace, ParetoSet
 from repro.engine.cache import CacheStats
-from repro.registry import as_bool, as_int, check_fields
+from repro.registry import as_bool, as_int, as_str, check_fields
 
 
 def _request_id(data, default_id: str) -> str:
@@ -239,8 +239,10 @@ class QueryRequest:
 
         ``network`` is accepted as an alias for ``workload`` (matching
         the batch verb's vocabulary); unknown fields are rejected.
-        Integer filters must be JSON integers and ``feasible`` a JSON
-        boolean; ``null`` leaves a filter unset.
+        Integer filters must be JSON integers, ``feasible`` a JSON
+        boolean and the name filters (``workload``, ``dataflow``,
+        ``objective``, ``kind``, ``commit``) JSON strings; ``null``
+        leaves a filter unset.
         """
         check_fields(data, _QUERY_FIELDS, "query")
         verb = data.get("verb", "query")
@@ -260,7 +262,7 @@ class QueryRequest:
                 filters[name] = as_bool(value, name)
             else:
                 filters["workload" if name == "network" else name] = \
-                    str(value)
+                    as_str(value, name)
         return cls(request_id=_request_id(data, default_id),
                    filters=filters)
 

@@ -27,6 +27,13 @@ random shapes:
   (winner, score bits, candidate count), on the vector and the scalar
   path -- the same feasibility-mask invariant, used the other way
   round.
+* :func:`check_every_row_rebuild` -- the every-row oracle: rebuilding
+  *each* row of a candidate block from its ``row_params`` must give the
+  scalar generator's mapping at that position, field for field, and the
+  row's scoring columns and capacity requirement must describe that
+  same mapping.  The searches only ever rebuild the winning row, so
+  this is what pins the fold-form row -> fold index and the per-block
+  offsets of grouped layers on every other row.
 
 Shapes are kept deliberately small so hundreds of cells stay cheap; the
 generator is deterministic per seed, making every failure replayable
@@ -412,3 +419,86 @@ def check_batch_parity(dataflow, layer: LayerShape, hardware,
                 bits(got.best.dram_accesses_per_op), (
                     f"{point}: winner DRAM bits diverge")
     return reference
+
+
+def _split_fields(split) -> tuple:
+    return (split.a, split.b, split.c, split.d)
+
+
+def _without_occupancy(mapping) -> tuple:
+    """A mapping's identity apart from its capacity-relative
+    ``buffer_occupancy`` annotation (the one field that moves when only
+    the capacities change)."""
+    params = {key: value for key, value in mapping.params.items()
+              if key != "buffer_occupancy"}
+    return (mapping.dataflow, mapping.ifmap, mapping.filter, mapping.psum,
+            mapping.active_pes, mapping.macs, params)
+
+
+def _requirement_rows(count: int) -> list:
+    """The rows whose capacity requirement is probed: the first, the
+    middle and the last (each probe re-runs the scalar generator, so
+    not every row)."""
+    return sorted({0, count // 2, count - 1})
+
+
+def check_every_row_rebuild(dataflow, layer: LayerShape, hw: HardwareConfig,
+                            context: str = "") -> int:
+    """Assert every block row rebuilds to the scalar generator's mapping.
+
+    For each row ``i`` of ``enumerate_candidate_arrays``:
+    ``rebuild_mapping(layer, hw, block.row_params(i))`` must equal the
+    ``i``-th mapping of ``enumerate_mappings`` field for field, and the
+    row's ``(a, b, c, d)`` reuse-split columns and active-PE entry must
+    be that mapping's.  Then, for a few rows (:func:`_requirement_rows`),
+    the reported ``requirements()`` entry must be exactly the capacity
+    the scalar feasibility predicates test: the row's mapping is
+    enumerated on a copy of ``hw`` whose RF and buffer equal the row's
+    requirement, and is not once either capacity is one word smaller.
+    Returns the row count.
+    """
+    where = f"{context}{dataflow.name}/{layer.name}"
+    expected = list(dataflow.enumerate_mappings(layer, hw))
+    block = dataflow.enumerate_candidate_arrays(layer, hw)
+    assert block is not None, f"{where}: no array enumerator"
+    assert len(block) == len(expected), (
+        f"{where}: block holds {len(block)} rows, the generator yields "
+        f"{len(expected)}")
+    columns = (block.ifmap, block.filter, block.psum)
+    for index, want in enumerate(expected):
+        row = block.row_params(index)
+        got = dataflow.rebuild_mapping(layer, hw, row)
+        assert got == want, (
+            f"{where}: row {index} {row} rebuilt to {got}, the generator "
+            f"yielded {want}")
+        for name, cols, split in zip(("ifmap", "filter", "psum"), columns,
+                                     (want.ifmap, want.filter, want.psum)):
+            assert tuple(float(col[index]) for col in cols) == \
+                _split_fields(split), (
+                    f"{where}: row {index} {name} columns disagree with "
+                    f"its rebuilt mapping")
+        assert int(block.active_pes[index]) == want.active_pes, (
+            f"{where}: row {index} active-PE column disagrees")
+
+    if not expected or block.requirements is None:
+        return len(expected)
+    rf_need, buffer_need = block.requirements()
+    for index in _requirement_rows(len(expected)):
+        key = _without_occupancy(expected[index])
+        need = (int(rf_need[index]), int(buffer_need[index]))
+        probes = [((need[0], need[1]), True)]
+        if need[0] > 0:
+            probes.append(((need[0] - 1, need[1]), False))
+        if need[1] > 0:
+            probes.append(((need[0], need[1] - 1), False))
+        for (rf_words, buffer_words), fits in probes:
+            probe = replace(hw, rf_words_per_pe=rf_words,
+                            buffer_words=buffer_words)
+            found = any(_without_occupancy(mapping) == key
+                        for mapping in dataflow.enumerate_mappings(layer,
+                                                                   probe))
+            assert found == fits, (
+                f"{where}: row {index} reports (rf, buffer) = {need}, but "
+                f"at rf={rf_words}, buffer={buffer_words} the generator "
+                f"{'drops' if fits else 'still yields'} it")
+    return len(expected)

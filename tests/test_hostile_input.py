@@ -3,10 +3,11 @@
 One strict rule set decodes every request: an integer is an
 ``operator.index`` value that is not a ``bool`` (numpy integers pass,
 floats and numeric strings do not), a JSON boolean must be a ``bool``,
-and ``area_budget`` must be a finite positive number.  Each case below
-must be a ``ValueError`` from the constructor or codec, and exactly one
-terminal ``error`` event over :class:`repro.netserve.core.RequestHandler`
--- after which the handler still serves the next line.
+a query's name filter must be a ``str``, and ``area_budget`` must be a
+finite positive number.  Each case below must be a ``ValueError`` from
+the constructor or codec, and exactly one terminal ``error`` event over
+:class:`repro.netserve.core.RequestHandler` -- after which the handler
+still serves the next line.
 """
 
 import json
@@ -39,6 +40,14 @@ WIRE_CASES = {
     "area-budget-nan": dict(DSE, area_budget="nan"),
     "area-budget-inf": dict(DSE, area_budget="inf"),
     "query-limit-bool": {"verb": "query", "limit": True},
+    "query-dataflow-int": {"verb": "query", "dataflow": 5},
+    "query-dataflow-bool": {"verb": "query", "dataflow": True},
+    "query-dataflow-list": {"verb": "query", "dataflow": ["RS"]},
+    "query-workload-int": {"verb": "query", "workload": 7},
+    "query-network-object": {"verb": "query", "network": {"name": "x"}},
+    "query-objective-float": {"verb": "query", "objective": 1.5},
+    "query-kind-bool": {"verb": "query", "kind": False},
+    "query-commit-int": {"verb": "query", "commit": 1234567},
     "pe-counts-string": dict(BATCH, pe_counts=["256"]),
     "dse-pe-counts-string": dict(DSE, pe_counts=["256"]),
     "dse-batch-float": dict(DSE, batch=2.7),

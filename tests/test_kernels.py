@@ -23,7 +23,7 @@ from repro.arch.energy_costs import EnergyCosts
 from repro.arch.hardware import HardwareConfig
 from repro.dataflows.registry import DATAFLOWS
 from repro.engine.reducer import StreamingBest
-from repro.kernels import kernel_mode, select_best
+from repro.kernels import ScenarioExpansion, kernel_mode, select_best
 from repro.mapping.optimizer import MappingSearchResult, optimize_mapping
 from repro.nn.networks import alexnet, resnet18, vgg16
 from repro.registry import objective_registry
@@ -271,6 +271,64 @@ class TestSelectBest:
     def test_empty_batch_returns_none(self):
         assert select_best(np.zeros(0), np.zeros(0, dtype=np.int64),
                            0.01) is None
+
+
+def _interleave(columns):
+    """The pre-fold-form row layout: K per-fold columns merged
+    fold-major / scenario-minor (the scalar yield order)."""
+    return np.stack(columns, axis=1).reshape(-1)
+
+
+def _expansion_masks():
+    """(label, K per-scenario masks) cases for the ScenarioExpansion
+    oracle: seeded random masks at three densities, all-false,
+    all-true and single-fold, for K = 3 (OS) and K = 4 (RS)."""
+    rng = np.random.default_rng(20160618)
+    cases = []
+    for k in (3, 4):
+        for density in (0.1, 0.5, 0.9):
+            cases.append((f"K{k}-random{density}",
+                          [rng.random(37) < density for _ in range(k)]))
+        cases.append((f"K{k}-all-false", [np.zeros(9, bool)] * k))
+        cases.append((f"K{k}-all-true", [np.ones(9, bool)] * k))
+        cases.append((f"K{k}-single-fold",
+                      [rng.random(1) < 0.5 for _ in range(k)]))
+    return cases
+
+
+class TestScenarioExpansion:
+    """The fold-form gathers equal the old repeat/interleave formulas."""
+
+    @pytest.mark.parametrize(
+        "masks", [masks for _, masks in _expansion_masks()],
+        ids=[label for label, _ in _expansion_masks()])
+    def test_gathers_match_repeat_and_interleave(self, masks):
+        k, folds = len(masks), masks[0].shape[0]
+        keep = _interleave(masks)
+        rows = ScenarioExpansion(masks)
+        assert len(rows) == int(keep.sum())
+        assert bool(rows) == bool(keep.any())
+
+        rng = np.random.default_rng(folds * 10 + k)
+        per_fold = rng.random(folds)
+        per_fold_int = rng.integers(0, 10**6, folds)
+        variants = [rng.random(folds) for _ in range(k)]
+        int_variants = [rng.integers(0, 10**6, folds) for _ in range(k)]
+        for column in (per_fold, per_fold_int):
+            got = rows.repeat(column)
+            want = np.repeat(column, k)[keep]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        for columns in (variants, int_variants):
+            got = rows.select(columns)
+            want = _interleave(columns)[keep]
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert np.array_equal(
+            rows.scenario, np.tile(np.arange(k, dtype=np.int64),
+                                   folds)[keep])
+        assert np.array_equal(
+            rows.fold, np.repeat(np.arange(folds, dtype=np.int64), k)[keep])
 
 
 def test_no_test_seeds_an_rng_from_hash():

@@ -22,6 +22,12 @@ starved-buffer member -- with ``tie_tolerance`` alternating between
 0.0 and 0.01; the batched search must equal per-hardware
 ``optimize_mapping`` bit-for-bit on the vector and scalar paths.
 
+``TestEveryRowRebuild`` drives :func:`parity.check_every_row_rebuild`:
+per (dataflow, seed) cell, a dense, grouped, depthwise and dilated conv
+on two hardware points each, every block row must rebuild to the
+scalar generator's mapping at its position and report the capacities
+its scalar predicates test.
+
 The CI ``parity-fuzz`` job adds a non-blocking run with
 ``REPRO_PARITY_SEED=$GITHUB_RUN_ID``: setting that variable appends one
 extra seed to the matrix, so every CI run fuzzes a never-seen region
@@ -42,6 +48,7 @@ from parity import (
     ShapeGenerator,
     check_batch_parity,
     check_buffer_monotonicity,
+    check_every_row_rebuild,
     check_parity,
 )
 
@@ -128,6 +135,29 @@ class TestBatchedParity:
         assert groups == len(BATCH_SHAPE_CLASSES) * len(OBJECTIVES)
         # Every group carries starved members: some must be infeasible.
         assert infeasible > 0
+
+
+#: The shape classes the every-row oracle covers.
+REBUILD_SHAPE_CLASSES = ("dense_conv", "grouped_conv", "depthwise_conv",
+                         "dilated_conv")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DATAFLOWS))
+class TestEveryRowRebuild:
+    """Every block row rebuilds to the scalar generator's mapping."""
+
+    def test_every_row_rebuilds_field_for_field(self, name, seed):
+        dataflow = DATAFLOWS[name]
+        gen = ShapeGenerator(f"rebuild:{seed}:{name}")
+        rows = 0
+        for shape_class in REBUILD_SHAPE_CLASSES:
+            layer = getattr(gen, shape_class)()
+            for _ in range(2):
+                rows += check_every_row_rebuild(dataflow, layer,
+                                                gen.hardware(),
+                                                context=f"seed={seed} ")
+        assert rows > 0
 
 
 class TestCoverageFloor:
